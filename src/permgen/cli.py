@@ -213,8 +213,8 @@ def _raster(gen_set, perm_set, resolution: int) -> dict:
     ys = np.linspace(lo[1], hi[1], resolution)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    in_gen = _contains_batch(gen_set, pts)
-    in_perm = _contains_batch(perm_set, pts)
+    in_gen = gen_set.contains_batch(pts)
+    in_perm = perm_set.contains_batch(pts)
     status = np.full(len(pts), "not_generable", dtype=object)
     status[in_gen] = VIOLATION
     status[in_gen & in_perm] = PERMISSIBLE
@@ -230,21 +230,6 @@ def _set_bounds(gen_set) -> tuple[np.ndarray, np.ndarray]:
         return gen_set.polytope.bounding_box()
     pts = gen_set.points()
     return pts.min(axis=0), pts.max(axis=0)
-
-
-def _contains_batch(gen_set, pts: np.ndarray) -> np.ndarray:
-    if isinstance(gen_set, ConvexRegion):
-        if gen_set.is_empty:
-            return np.zeros(len(pts), dtype=bool)
-        return gen_set.polytope.contains_batch(pts)
-    out = np.ones(len(pts), dtype=bool)
-    if gen_set.is_empty:
-        return ~out
-    for k in range(gen_set.dim):
-        vs = np.asarray(gen_set.value_sets[k])
-        dist = np.abs(pts[:, [k]] - vs[None, :]).min(axis=1)
-        out &= dist <= 1e-9
-    return out
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -334,7 +319,7 @@ def cmd_simulate(args) -> int:
             method=args.method,
             mc_samples=args.samples,
         )
-    except (NotConvexValued, SpliceOnContinuum, GridExplosion) as exc:
+    except (NotConvexValued, SpliceOnContinuum, GridExplosion, ValueError) as exc:
         raise _CliError(EXIT_CONFIG_ERROR, str(exc))
     except MisalignedCheckpoints as exc:
         raise _CliError(EXIT_INPUT_ERROR, str(exc))

@@ -5,7 +5,6 @@ successive-maxima bound for heavy-tailed corpora.
 from __future__ import annotations
 
 import csv
-import os
 import time
 from dataclasses import dataclass
 
@@ -53,6 +52,43 @@ def _permissible_polytope(spec: GeneratorSpec, corpus: Corpus, full: Polytope) -
     return result.polytope
 
 
+def _volume_ratio(
+    spec: GeneratorSpec, corpus: Corpus, method: str, mc_samples: int, mc_seed: int
+) -> tuple[float, float, float]:
+    """(generable volume, permissible volume, ratio) of one corpus.
+
+    The one place that picks exact volumes or Monte Carlo. ``exact`` needs
+    dim <= 3. ``mc`` draws ``mc_samples`` uniform points from the bounding
+    box of the generable set with a Philox(``mc_seed``) stream and counts
+    hits. Raises ZeroGenerableVolume when the generable set has zero volume
+    or no sample lands in it.
+    """
+    if method == "exact" and corpus.dim > 3:
+        raise ValueError("exact volumes are limited to dimension <= 3")
+    if method not in ("exact", "mc"):
+        raise ValueError(f"unknown method {method!r}")
+    full = _generable_polytope(spec, corpus)
+    if full.has_zero_volume:
+        raise ZeroGenerableVolume(f"generable set has zero volume at n={len(corpus)}")
+    perm = _permissible_polytope(spec, corpus, full)
+    if method == "exact":
+        vol_g = volume(full)
+        if vol_g <= 0.0:
+            raise ZeroGenerableVolume(f"generable set has zero volume at n={len(corpus)}")
+        vol_p = volume(perm)
+        return vol_g, vol_p, min(1.0, max(0.0, vol_p / vol_g))
+    lo, hi = full.bounding_box()
+    rng = np.random.Generator(np.random.Philox(mc_seed))
+    pts = lo + rng.random((mc_samples, corpus.dim)) * (hi - lo)
+    in_g = full.contains_batch(pts)
+    hits_g = int(np.count_nonzero(in_g))
+    if hits_g == 0:
+        raise ZeroGenerableVolume("no generable hits in the Monte Carlo sample")
+    hits_p = int(np.count_nonzero(perm.contains_batch(pts) & in_g))
+    box_vol = float(np.prod(hi - lo))
+    return box_vol * hits_g / mc_samples, box_vol * hits_p / mc_samples, hits_p / hits_g
+
+
 def permissible_ratio(
     spec: GeneratorSpec,
     corpus: Corpus,
@@ -72,29 +108,7 @@ def permissible_ratio(
         raise NotConvexValued(f"volume ratios need a convex-valued generator, got {spec}")
     if len(corpus) == 0:
         raise EmptyCorpus("ratio over an empty corpus")
-    full = _generable_polytope(spec, corpus)
-    if full.has_zero_volume:
-        raise ZeroGenerableVolume(f"generable set has zero volume at n={len(corpus)}")
-    if method == "exact":
-        if corpus.dim > 3:
-            raise ValueError("exact volumes are limited to dimension <= 3")
-        vol_g = volume(full)
-        if vol_g <= 0.0:
-            raise ZeroGenerableVolume(f"generable set has zero volume at n={len(corpus)}")
-        perm = _permissible_polytope(spec, corpus, full)
-        return min(1.0, max(0.0, volume(perm) / vol_g))
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
-    perm = _permissible_polytope(spec, corpus, full)
-    lo, hi = full.bounding_box()
-    rng = np.random.Generator(np.random.Philox(mc_seed))
-    pts = lo + rng.random((mc_samples, corpus.dim)) * (hi - lo)
-    in_g = full.contains_batch(pts)
-    hits_g = int(np.count_nonzero(in_g))
-    if hits_g == 0:
-        raise ZeroGenerableVolume("no generable hits in the Monte Carlo sample")
-    hits_p = int(np.count_nonzero(perm.contains_batch(pts) & in_g))
-    return hits_p / hits_g
+    return _volume_ratio(spec, corpus, method, mc_samples, mc_seed)[2]
 
 
 @dataclass(frozen=True)
@@ -123,14 +137,6 @@ class Trajectory:
         raise KeyError(f"no checkpoint at n={n}")
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("PERMGEN_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_growth(
     dist: DistributionSpec,
     spec: GeneratorSpec,
@@ -147,8 +153,7 @@ def run_growth(
     ones. Checkpoints where the generable set is degenerate (n <= d, or a
     flat corpus) are recorded with the degenerate flag, a ratio of 0 and
     zero volumes. ``method="auto"`` picks exact volumes for dim <= 3 and
-    Monte Carlo above. The PERMGEN_THREADS environment variable caps the
-    number of worker threads used across seeds (default 1).
+    Monte Carlo above; ``method="exact"`` above dim 3 raises ValueError.
     """
     cps = [int(n) for n in checkpoints]
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])):
@@ -160,57 +165,23 @@ def run_growth(
     if method == "auto":
         method = "exact" if dist.dim <= 3 else "mc"
 
-    def one_seed(seed: int) -> Trajectory:
+    trajectories = []
+    for seed in map(int, seeds):
         pts = sample_points(dist, n_max, seed)
         records = []
         for n in cps:
             start = time.perf_counter()
             corpus = Corpus.from_array(pts[:n], dim=dist.dim)
-            full = _generable_polytope(spec, corpus)
-            degenerate = full.has_zero_volume
-            if degenerate:
-                vol_g = vol_p = 0.0
-                ratio = 0.0
-            else:
-                if method == "exact":
-                    vol_g = volume(full)
-                    perm = _permissible_polytope(spec, corpus, full)
-                    vol_p = volume(perm)
-                    ratio = min(1.0, max(0.0, vol_p / vol_g)) if vol_g > 0 else 0.0
-                    degenerate = vol_g <= 0.0
-                else:
-                    perm = _permissible_polytope(spec, corpus, full)
-                    lo, hi = full.bounding_box()
-                    rng = np.random.Generator(
-                        np.random.Philox(int(seed) * 1_000_003 + n)
-                    )
-                    sample = lo + rng.random((mc_samples, dist.dim)) * (hi - lo)
-                    in_g = full.contains_batch(sample)
-                    hits_g = int(np.count_nonzero(in_g))
-                    box_vol = float(np.prod(hi - lo))
-                    if hits_g == 0:
-                        vol_g = vol_p = 0.0
-                        ratio = 0.0
-                        degenerate = True
-                    else:
-                        hits_p = int(np.count_nonzero(perm.contains_batch(sample) & in_g))
-                        vol_g = box_vol * hits_g / mc_samples
-                        vol_p = box_vol * hits_p / mc_samples
-                        ratio = hits_p / hits_g
+            try:
+                vol_g, vol_p, ratio = _volume_ratio(spec, corpus, method, mc_samples, seed * 1_000_003 + n)
+                degenerate = False
+            except ZeroGenerableVolume:
+                vol_g = vol_p = ratio = 0.0
+                degenerate = True
             elapsed_ms = (time.perf_counter() - start) * 1000.0
-            records.append(
-                CheckpointRecord(n, float(vol_g), float(vol_p), float(ratio), degenerate, elapsed_ms)
-            )
-        return Trajectory(int(seed), tuple(records))
-
-    seed_list = [int(s) for s in seeds]
-    workers = min(_env_threads(), max(1, len(seed_list)))
-    if workers <= 1:
-        return [one_seed(s) for s in seed_list]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one_seed, seed_list))
+            records.append(CheckpointRecord(n, vol_g, vol_p, ratio, degenerate, elapsed_ms))
+        trajectories.append(Trajectory(seed, tuple(records)))
+    return trajectories
 
 
 @dataclass(frozen=True)

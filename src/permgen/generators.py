@@ -27,6 +27,7 @@ from .geometry import (
     Location,
     Polytope,
     convex_hull,
+    tol_buckets,
 )
 
 GRID_LIMIT = 10**6
@@ -126,6 +127,9 @@ class ConvexRegion:
     def contains(self, point, tol: float = TOL_GEOM) -> bool:
         return self.polytope.contains(point, tol)
 
+    def contains_batch(self, points: np.ndarray, tol: float = TOL_GEOM) -> np.ndarray:
+        return self.polytope.contains_batch(points, tol)
+
     def equals(self, other, tol: float = 1e-7) -> bool:
         return isinstance(other, ConvexRegion) and self.polytope.equals(other.polytope, tol)
 
@@ -160,13 +164,19 @@ class FiniteGrid:
         x = np.atleast_1d(np.asarray(point if not isinstance(point, Creation) else point.coords, dtype=float))
         if x.shape[0] != self.dim:
             raise DimensionMismatch(f"point has dimension {x.shape[0]}, expected {self.dim}")
+        return bool(self.contains_batch(x[None, :], tol)[0])
+
+    def contains_batch(self, points: np.ndarray, tol: float = TOL_GEOM) -> np.ndarray:
+        """Vectorized membership test for an (m, d) array of points."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != self.dim:
+            raise DimensionMismatch(f"points have dimension {pts.shape[1]}, expected {self.dim}")
         if self.is_empty:
-            return False
-        for k in range(self.dim):
-            vs = np.asarray(self.value_sets[k])
-            if np.abs(vs - x[k]).min() > tol:
-                return False
-        return True
+            return np.zeros(len(pts), dtype=bool)
+        out = np.ones(len(pts), dtype=bool)
+        for k, vs in enumerate(self.value_sets):
+            out &= np.abs(pts[:, [k]] - np.asarray(vs)).min(axis=1) <= tol
+        return out
 
     def points(self, limit: int = GRID_LIMIT) -> np.ndarray:
         """Materialize the grid as an (m, d) array, guarded by ``limit``."""
@@ -210,10 +220,8 @@ def _coordinate_value_sets(arr: np.ndarray) -> tuple[tuple[float, ...], ...]:
     # distinct after rounding at TOL_GEOM, per coordinate
     sets = []
     for k in range(arr.shape[1]):
-        col = arr[:, k]
-        keys = np.round(col / TOL_GEOM).astype(np.int64)
-        _, idx = np.unique(keys, return_index=True)
-        sets.append(tuple(sorted(float(col[i]) for i in idx)))
+        firsts = tol_buckets(arr[:, [k]])
+        sets.append(tuple(sorted(float(arr[i, k]) for i in firsts)))
     return tuple(sets)
 
 
@@ -448,10 +456,8 @@ def _hull_probe_corpus(corpus: Corpus, samples: int) -> Corpus:
         w = rng.random(len(V))
         w /= w.sum()
         pts.append(w @ V)
-    dedup: dict[tuple, np.ndarray] = {}
-    for p in pts:
-        dedup.setdefault(tuple(np.round(np.asarray(p) / TOL_GEOM).astype(np.int64).tolist()), p)
-    return Corpus.from_array(np.array(list(dedup.values())), dim=corpus.dim)
+    P = np.array(pts)
+    return Corpus.from_array(P[list(tol_buckets(P))], dim=corpus.dim)
 
 
 def _off_grid_witness(grid: FiniteGrid) -> Creation:

@@ -32,8 +32,11 @@ from .errors import (
     ZeroVolumeBounding,
 )
 
-# Absolute tolerance on halfspace residuals. Coordinates are assumed to stay
-# within |x| <= 1e6, where doubles keep ~1e-10 of headroom below this value.
+# Absolute tolerance on halfspace residuals and width of the dedupe buckets
+# (tol_buckets). It does not scale with the data: coordinates are assumed to
+# stay within |x| <= 1e6, where doubles keep ~1e-10 of headroom below this
+# value. Bucket keys cannot overflow, but above |x| ~ 1e7 adjacent doubles
+# are more than TOL_GEOM apart, so a bucket holds only equal values there.
 TOL_GEOM = 1e-9
 
 # Chebyshev inradius above which an intersection is treated as full-dimensional.
@@ -169,17 +172,23 @@ class Corpus:
         return f"Corpus(n={len(self.items)}, dim={self.dim})"
 
 
-def _dedupe_rows(P: np.ndarray) -> np.ndarray:
-    # first-occurrence order, buckets of width TOL_GEOM
-    keys = np.round(P / TOL_GEOM).astype(np.int64)
-    seen: set[tuple] = set()
-    keep = []
-    for i, row in enumerate(keys):
-        k = tuple(row.tolist())
-        if k not in seen:
-            seen.add(k)
-            keep.append(i)
-    return P[keep]
+def tol_buckets(A: np.ndarray) -> dict[int, int]:
+    """Group the rows of a 2-d array into buckets of width TOL_GEOM.
+
+    Returns the index of each bucket's first row, in row order, mapped to
+    the number of rows in the bucket. Keys are rounded floats, never cast to
+    integers, so no coordinate is too large to key.
+    """
+    keys = np.round(A / TOL_GEOM)
+    # one column keys on bare floats: building a 1-tuple per row tripled the
+    # cost of the splice value sets of large grids
+    rows = keys.ravel().tolist() if keys.shape[1] == 1 else map(tuple, keys.tolist())
+    first: dict = {}
+    counts: dict[int, int] = {}
+    for i, key in enumerate(rows):
+        j = first.setdefault(key, i)
+        counts[j] = counts.get(j, 0) + 1
+    return counts
 
 
 def _affine_rank(P: np.ndarray):
@@ -188,7 +197,8 @@ def _affine_rank(P: np.ndarray):
     if len(P) == 1:
         return o, np.zeros((P.shape[1], 0)), np.eye(P.shape[1])
     Q = P - o
-    _, s, Vt = np.linalg.svd(Q, full_matrices=True)
+    # the complement needs all d rows of Vt, which the thin SVD omits only when n < d
+    _, s, Vt = np.linalg.svd(Q, full_matrices=Q.shape[0] < Q.shape[1])
     thresh = TOL_GEOM * max(1.0, float(s[0]) if s.size else 1.0)
     rank = int(np.sum(s > thresh))
     return o, Vt[:rank].T, Vt[rank:].T
@@ -243,7 +253,7 @@ class Polytope:
             raise DimensionMismatch(f"points have dimension {P.shape[1]}, expected {dim}")
         if not np.all(np.isfinite(P)):
             raise ValueError("non-finite coordinates")
-        P = _dedupe_rows(P)
+        P = P[list(tol_buckets(P))]
         if dim == 1:
             return cls._interval(P)
         o, B, N = _affine_rank(P)
@@ -311,8 +321,8 @@ class Polytope:
         keep = norms > TOL_GEOM
         A = A[keep] / norms[keep, None]
         b = b[keep] / norms[keep]
-        A, b = _dedupe_halfspaces(A, b)
-        return cls(dim, verts, A, b, affine_dim)
+        rows = list(tol_buckets(np.column_stack([A, b])))
+        return cls(dim, verts, A[rows], b[rows], affine_dim)
 
     # -- queries -------------------------------------------------------------
 
@@ -381,20 +391,6 @@ class Polytope:
         )
 
 
-def _dedupe_halfspaces(A: np.ndarray, b: np.ndarray):
-    if len(A) == 0:
-        return A, b
-    keys = np.round(np.column_stack([A, b]) / TOL_GEOM).astype(np.int64)
-    seen: set[tuple] = set()
-    keep = []
-    for i, row in enumerate(keys):
-        k = tuple(row.tolist())
-        if k not in seen:
-            seen.add(k)
-            keep.append(i)
-    return A[keep], b[keep]
-
-
 def _vertex_sets_match(V: np.ndarray, W: np.ndarray, tol: float) -> bool:
     if len(V) != len(W):
         return False
@@ -448,7 +444,8 @@ def halfspace_intersection(polytopes) -> Polytope:
         return Polytope.empty(dim)
     A = np.vstack([p.normals for p in polys])
     b = np.concatenate([p.offsets for p in polys])
-    A, b = _dedupe_halfspaces(A, b)
+    rows = list(tol_buckets(np.column_stack([A, b])))
+    A, b = A[rows], b[rows]
     verts = _hsi_vertices(A, b, dim)
     if verts is None:
         return Polytope.empty(dim)

@@ -42,6 +42,7 @@ from .geometry import (
     convex_hull,
     halfspace_intersection,
     radon_partition,
+    tol_buckets,
 )
 
 PERMISSIBLE = "permissible"
@@ -80,17 +81,16 @@ def _leave_one_out(spec: GeneratorSpec, corpus: Corpus, c: Creation) -> Generabl
     return generate(spec, rest)
 
 
-def _conv_leave_one_out(corpus: Corpus, full: Polytope) -> dict[Creation, Polytope]:
-    """Leave-one-out hulls; non-extreme removals reuse the full hull object."""
-    out: dict[Creation, Polytope] = {}
-    extreme = set(full.vertices)
-    for c in corpus:
-        if c in extreme:
-            rest = corpus.without(c)
-            out[c] = Polytope.empty(corpus.dim) if len(rest) == 0 else convex_hull(rest)
-        else:
-            out[c] = full
-    return out
+def _conv_loo_hulls(arr: np.ndarray, full: Polytope) -> dict[int, Polytope]:
+    """Leave-one-out hulls of an (n >= 2, d) corpus array, keyed by row.
+
+    Only removing an extreme row can shrink the hull, so there is one entry
+    per vertex of ``full`` (the hull of ``arr``), in vertex order; each hull
+    is built from ``arr`` without that row.
+    """
+    row_of = {row: i for i, row in enumerate(map(tuple, arr.tolist()))}
+    rows = [row_of[tuple(v)] for v in full.vertex_array.tolist()]
+    return {i: Polytope.from_points(np.delete(arr, i, 0), dim=arr.shape[1]) for i in rows}
 
 
 def conv_permissible_polytope(corpus: Corpus, full: Polytope | None = None) -> Polytope:
@@ -99,13 +99,7 @@ def conv_permissible_polytope(corpus: Corpus, full: Polytope | None = None) -> P
         return Polytope.empty(corpus.dim)
     if full is None:
         full = convex_hull(corpus)
-    polys = []
-    for c in full.vertices:
-        rest = corpus.without(c)
-        if len(rest) == 0:
-            return Polytope.empty(corpus.dim)
-        polys.append(convex_hull(rest))
-    return halfspace_intersection(polys)
+    return halfspace_intersection(list(_conv_loo_hulls(corpus.to_array(), full).values()))
 
 
 def box_permissible_polytope(corpus: Corpus) -> Polytope:
@@ -113,8 +107,7 @@ def box_permissible_polytope(corpus: Corpus) -> Polytope:
     if len(corpus) <= 1:
         return Polytope.empty(corpus.dim)
     arr = np.sort(corpus.to_array(), axis=0)
-    lo = np.where(arr[0] == arr[1], arr[0], arr[1])
-    hi = np.where(arr[-1] == arr[-2], arr[-1], arr[-2])
+    lo, hi = arr[1], arr[-2]
     if np.any(lo > hi + TOL_GEOM):
         return Polytope.empty(corpus.dim)
     return Polytope.box(lo, np.maximum(lo, hi))
@@ -127,9 +120,7 @@ def _splice_permissible_grid(corpus: Corpus) -> FiniteGrid:
     arr = corpus.to_array()
     sets = []
     for k in range(corpus.dim):
-        keys = np.round(arr[:, k] / TOL_GEOM).astype(np.int64)
-        uniq, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        kept = [float(arr[first[i], k]) for i in range(len(uniq)) if counts[i] >= 2]
+        kept = [float(arr[i, k]) for i, count in tol_buckets(arr[:, [k]]).items() if count >= 2]
         sets.append(tuple(sorted(kept)))
     return FiniteGrid(corpus.dim, tuple(sets))
 
@@ -169,9 +160,9 @@ def permissible_set(spec: GeneratorSpec, corpus: Corpus) -> PermissibleResult:
         )
     if spec.kind == CONV:
         full = generable.polytope  # type: ignore[union-attr]
-        loo = _conv_leave_one_out(corpus, full)
-        per = {c: ConvexRegion(p) for c, p in loo.items()}
-        permissible = ConvexRegion(conv_permissible_polytope(corpus, full))
+        loo = _conv_loo_hulls(corpus.to_array(), full)
+        per = {c: ConvexRegion(loo.get(i, full)) for i, c in enumerate(corpus)}
+        permissible = ConvexRegion(halfspace_intersection(list(loo.values())))
         return PermissibleResult(generable, permissible, per)
     if spec.kind == BOX:
         per = {c: _leave_one_out(spec, corpus, c) for c in corpus}

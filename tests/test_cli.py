@@ -224,6 +224,17 @@ def test_simulate_splice_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_simulate_exact_above_dim_3_exit_3(tmp_path, capsys):
+    out_dir = tmp_path / "x"
+    code, _, err = run_cli(
+        capsys, "simulate", "gauss:d=4", "conv", "--method", "exact", "--nmax", "100",
+        "--checkpoints", "100", "--seeds", "1", "--out", str(out_dir),
+    )
+    assert code == 3
+    assert err == "error: exact volumes are limited to dimension <= 3\n"
+    assert not out_dir.exists()
+
+
 def test_simulate_bad_checkpoints_exit_2(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys, "simulate", "gauss:d=2", "conv", "--nmax", "10",

@@ -1,5 +1,4 @@
 import csv
-import os
 
 import numpy as np
 import pytest
@@ -64,6 +63,15 @@ def test_ratio_mc_agrees_with_exact(rng):
         exact = permissible_ratio(conv_spec(), corpus, method="exact")
         mc = permissible_ratio(conv_spec(), corpus, method="mc", mc_samples=200_000, mc_seed=3)
         assert mc == pytest.approx(exact, abs=0.02)
+
+
+def test_ratio_exact_rejected_above_dim_3(rng):
+    corpus = corpus_of(rng.normal(size=(20, 4)))
+    with pytest.raises(ValueError, match="dimension <= 3"):
+        permissible_ratio(conv_spec(), corpus, method="exact")
+    dist = parse_distribution("gauss:d=4")
+    with pytest.raises(ValueError, match="dimension <= 3"):
+        run_growth(dist, conv_spec(), 100, [100], seeds=[1], method="exact")
 
 
 def test_ratio_mc_never_exceeds_one(rng):
@@ -159,17 +167,25 @@ def test_run_growth_rejects_non_convex_valued():
 def test_run_growth_deterministic_and_thread_invariant():
     dist = parse_distribution("gauss:d=2")
     a = run_growth(dist, conv_spec(), 50, [10, 50], seeds=[0, 1, 2])
-    os.environ["PERMGEN_THREADS"] = "3"
-    try:
-        b = run_growth(dist, conv_spec(), 50, [10, 50], seeds=[0, 1, 2])
-    finally:
-        del os.environ["PERMGEN_THREADS"]
+    b = run_growth(dist, conv_spec(), 50, [10, 50], seeds=[0, 1, 2])
     for ta, tb in zip(a, b):
         assert ta.seed == tb.seed
         for ra, rb in zip(ta.records, tb.records):
             assert ra.n == rb.n
             assert ra.ratio == rb.ratio
             assert ra.vol_generable == rb.vol_generable
+
+
+def test_run_growth_heavy_tail_matches_closed_form():
+    # alpha = 0.3 reaches |x| > 1e10, where x / TOL_GEOM leaves the int64 range;
+    # in d = 1 the ratio is (x(n-1) - x(2)) / (x(n) - x(1)) over the sorted prefix
+    dist = parse_distribution("pareto:d=1,alpha=0.3")
+    cps = [50, 200, 800, 2000]
+    for t in run_growth(dist, conv_spec(), 2000, cps, seeds=range(4)):
+        pts = sample_points(dist, 2000, seed=t.seed)[:, 0]
+        for n in cps:
+            x = np.sort(pts[:n])
+            assert t.ratio_at(n) == (x[-2] - x[1]) / (x[-1] - x[0])
 
 
 def test_run_growth_mc_method():

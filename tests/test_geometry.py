@@ -4,24 +4,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permgen import (
+    TOL_GEOM,
     Corpus,
     Creation,
     DimensionMismatch,
     DuplicateCreation,
     EmptyCorpus,
+    FiniteGrid,
     Location,
     Polytope,
+    conv_spec,
     convex_hull,
+    generate,
     halfspace_intersection,
     mc_volume,
     membership,
     radon_partition,
+    splice_spec,
     support,
     volume,
 )
 from permgen.errors import InsufficientPoints
 
-from conftest import corpus_of, oracle_in_hull, regular_polygon
+from conftest import corpus_of, oracle_in_hull, oracle_in_splice, regular_polygon
 
 
 # -- creations and corpora -----------------------------------------------------
@@ -85,6 +90,13 @@ def test_hull_collinear_points_drops_midpoint():
     assert poly.affine_dim == 1
 
 
+def test_hull_keeps_extremes_at_large_coordinates():
+    # above |x| ~ 9.2e9, x / TOL_GEOM leaves the int64 range; each of these
+    # rows must still get its own dedupe bucket
+    poly = convex_hull(corpus_of([[0.0], [1.0], [1e11], [2e11], [3e11]]))
+    assert sorted(poly.vertex_array[:, 0]) == [0.0, 3e11]
+
+
 def test_hull_empty_corpus_raises():
     with pytest.raises(EmptyCorpus):
         convex_hull(Corpus([], dim=2))
@@ -113,9 +125,18 @@ def test_contains_batch_matches_scalar(rng):
     pts = rng.normal(size=(12, 3))
     poly = convex_hull(corpus_of(pts))
     probes = rng.normal(size=(200, 3))
-    batch = poly.contains_batch(probes)
     single = np.array([poly.contains(q) for q in probes])
-    assert np.array_equal(batch, single)
+    for region in (poly, generate(conv_spec(), corpus_of(pts))):
+        assert np.array_equal(region.contains_batch(probes), single)
+    # grids: probes on the grid, off it by less and by more than TOL_GEOM
+    base = np.round(pts[:4], 1)
+    grid = generate(splice_spec(), corpus_of(base))
+    on_grid = grid.points()[rng.integers(0, grid.cardinality, 120)]
+    grid_probes = on_grid + rng.choice([0.0, 0.5 * TOL_GEOM, 3 * TOL_GEOM], size=on_grid.shape)
+    expected = np.array([oracle_in_splice(base, q, TOL_GEOM) for q in grid_probes])
+    assert 0 < np.count_nonzero(expected) < len(expected)
+    assert np.array_equal(grid.contains_batch(grid_probes), expected)
+    assert not FiniteGrid(3, ((0.0,), (), (1.0,))).contains_batch(grid_probes).any()
 
 
 # -- halfspace intersection ----------------------------------------------------
@@ -151,6 +172,13 @@ def test_intersection_shared_edge_is_segment():
     assert inter.affine_dim == 1
     got = {tuple(v) for v in np.round(inter.vertex_array, 9)}
     assert got == {(1.0, 0.0), (1.0, 1.0)}
+
+
+def test_intersection_keeps_halfspaces_at_large_offsets():
+    a = convex_hull(corpus_of([[0.0], [3e11]]))
+    b = convex_hull(corpus_of([[0.0], [2e11]]))
+    inter = halfspace_intersection([a, b])
+    assert sorted(inter.vertex_array[:, 0]) == [0.0, 2e11]
 
 
 def test_intersection_of_triangles_matches_oracle(rng):

@@ -96,6 +96,12 @@ def test_splice_permissible_empty_when_all_values_unique():
     assert res.permissible.is_empty
 
 
+def test_splice_grids_keep_distinct_values_at_large_coordinates():
+    res = permissible_set(splice_spec(), corpus_of([[1e10], [2e10]]))
+    assert res.generable.value_sets == ((1e10, 2e10),)
+    assert res.permissible.is_empty
+
+
 # -- cross-validation against the definitional oracle ----------------------------
 
 
@@ -179,6 +185,13 @@ def test_classify_far_point_not_generable():
     corpus = corpus_of([[0.0, 0.0], [1.0, 1.0]])
     for spec in (conv_spec(), splice_spec(), box_spec()):
         assert classify(spec, corpus, [50.0, -50.0]).status == NOT_GENERABLE
+
+
+def test_classify_violation_at_large_coordinates():
+    corpus = corpus_of([[0.0], [1.0], [1e11], [2e11], [3e11]])
+    verdict = classify(conv_spec(), corpus, [2.5e11])
+    assert verdict.status == VIOLATION
+    assert [c.coords for c in verdict.infringed] == [(3e11,)]
 
 
 def test_classify_agrees_with_oracle(rng):
