@@ -5,6 +5,7 @@ successive-maxima bound for heavy-tailed corpora.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 
@@ -203,18 +204,26 @@ def heavy_tail_bound(corpus: Corpus, tol: float = TOL_GEOM) -> list[BoundRecord]
     """
     if corpus.dim != 1:
         raise DimensionNotOne("the successive-maxima bound needs a one-dimensional corpus")
-    values = corpus.to_array()[:, 0]
-    if len(values) < 2:
-        return []
+    # one pass over the values, keeping the two largest and two smallest
+    # so far: the same order statistics a sort of each prefix would give
+    hi1 = hi2 = -math.inf
+    lo1 = lo2 = math.inf
     records = []
-    for n in range(2, len(values) + 1):
-        prefix = values[:n]
-        prev_max = float(prefix[:-1].max())
-        cur_max = float(prefix.max())
-        bound = prev_max / cur_max if cur_max != 0 else float("inf")
-        srt = np.sort(prefix)
-        vol_g = float(srt[-1] - srt[0])
-        vol_p = max(0.0, float(srt[-2] - srt[1]))
+    for n, x in enumerate(corpus.to_array()[:, 0].tolist(), 1):
+        prev_max = hi1
+        if x > hi1:
+            hi1, hi2 = x, hi1
+        elif x > hi2:
+            hi2 = x
+        if x < lo1:
+            lo1, lo2 = x, lo1
+        elif x < lo2:
+            lo2 = x
+        if n < 2:
+            continue
+        bound = prev_max / hi1 if hi1 != 0 else float("inf")
+        vol_g = hi1 - lo1
+        vol_p = max(0.0, hi2 - lo2)
         ratio = vol_p / vol_g if vol_g > 0 else 0.0
         if ratio > bound + tol:
             raise BoundViolation(

@@ -98,78 +98,125 @@ def _as_creation(value, dim: int | None = None) -> Creation:
 class Corpus:
     """An ordered collection of pairwise-distinct creations in a common R^d.
 
-    Equality is set-like (order does not matter) but iteration preserves
-    insertion order, so derived computations stay deterministic.
+    The rows of one read-only (n, d) float array are the creations, in
+    insertion order. ``items`` and the set used for equality, hashing and
+    membership are built from those rows on first use; a corpus built from
+    Creation objects keeps them as its items. Equality is set-like (order
+    does not matter) but iteration preserves insertion order, so derived
+    computations stay deterministic.
+
+    ``Corpus(items, dim)`` takes creations (or coordinate sequences) or a
+    2-d array of rows; ``from_array`` takes any array-like of rows.
     """
 
-    __slots__ = ("items", "dim", "_key")
+    __slots__ = ("dim", "_arr", "_items", "_key")
 
     def __init__(self, items=(), dim: int | None = None):
-        members = tuple(_as_creation(it) for it in items)
-        if dim is None:
-            if not members:
-                raise EmptyCorpus("an empty corpus needs an explicit dimension")
-            dim = members[0].dim
-        for c in members:
-            if c.dim != dim:
-                raise DimensionMismatch(
-                    f"corpus dimension is {dim} but item {c!r} has dimension {c.dim}"
-                )
-        seen = set()
-        for c in members:
-            if c in seen:
-                raise DuplicateCreation(f"duplicate item {c!r}")
-            seen.add(c)
-        self.items = members
+        if isinstance(items, np.ndarray) and items.ndim == 2:
+            members = None
+            arr = np.array(items, dtype=float)
+            if dim is None:
+                dim = arr.shape[1]
+        else:
+            members = tuple(_as_creation(it) for it in items)
+            if dim is None:
+                if not members:
+                    raise EmptyCorpus("an empty corpus needs an explicit dimension")
+                dim = members[0].dim
+            for c in members:
+                if c.dim != dim:
+                    raise DimensionMismatch(
+                        f"corpus dimension is {dim} but item {c!r} has dimension {c.dim}"
+                    )
+            arr = np.array([c.coords for c in members], dtype=float).reshape(len(members), dim)
         self.dim = int(dim)
-        self._key = frozenset(members)
+        self._arr = _checked_rows(arr, self.dim)
+        self._items = members
+        self._key = None
 
     @classmethod
     def from_array(cls, arr, dim: int | None = None) -> "Corpus":
         arr = np.atleast_2d(np.asarray(arr, dtype=float))
-        return cls((Creation(tuple(row)) for row in arr), dim=dim or arr.shape[1])
+        return cls(arr, dim=dim or arr.shape[1])
 
     def to_array(self) -> np.ndarray:
-        if not self.items:
-            return np.empty((0, self.dim))
-        return np.array([c.coords for c in self.items], dtype=float)
+        """The (n, d) rows themselves, read-only; not a copy."""
+        return self._arr
+
+    @property
+    def items(self) -> tuple[Creation, ...]:
+        if self._items is None:
+            self._items = tuple(Creation(row) for row in map(tuple, self._arr.tolist()))
+        return self._items
+
+    def _members(self) -> frozenset:
+        if self._key is None:
+            self._key = frozenset(self.items)
+        return self._key
 
     def without(self, creation) -> "Corpus":
-        c = _as_creation(creation, self.dim)
-        return Corpus((it for it in self.items if it != c), dim=self.dim)
+        return self.without_many((creation,))
 
     def without_many(self, creations) -> "Corpus":
-        drop = {_as_creation(c, self.dim) for c in creations}
-        return Corpus((it for it in self.items if it not in drop), dim=self.dim)
+        keep = np.ones(len(self), dtype=bool)
+        for c in creations:
+            keep &= (self._arr != _as_creation(c, self.dim).array).any(axis=1)
+        return Corpus(self._arr[keep], dim=self.dim)
 
     def add(self, creation) -> "Corpus":
         c = _as_creation(creation, self.dim)
-        if c in self._key:
+        if c in self._members():
             raise DuplicateCreation(f"{c!r} is already in the corpus")
         return Corpus(self.items + (c,), dim=self.dim)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self._arr)
 
     def __iter__(self):
         return iter(self.items)
 
     def __contains__(self, creation) -> bool:
         try:
-            return _as_creation(creation, self.dim) in self._key
+            return _as_creation(creation, self.dim) in self._members()
         except DimensionMismatch:
             return False
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
-        return self.dim == other.dim and self._key == other._key
+        return self.dim == other.dim and len(self) == len(other) and self._members() == other._members()
 
     def __hash__(self) -> int:
-        return hash((self.dim, self._key))
+        return hash((self.dim, self._members()))
 
     def __repr__(self) -> str:
-        return f"Corpus(n={len(self.items)}, dim={self.dim})"
+        return f"Corpus(n={len(self)}, dim={self.dim})"
+
+
+def _checked_rows(arr: np.ndarray, dim: int) -> np.ndarray:
+    """``arr``, made read-only, after checking it holds distinct finite rows of length dim.
+
+    Rows are compared as Creation compares coordinates, so -0.0 and 0.0 are
+    equal; duplicates are found by sorting, without a Python loop over rows.
+    """
+    if arr.shape[1] != dim:
+        raise DimensionMismatch(f"corpus dimension is {dim} but rows have dimension {arr.shape[1]}")
+    if dim == 0 and len(arr):
+        raise DimensionMismatch("a creation needs at least one coordinate")
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite coordinate in corpus")
+    if len(arr) > 1:
+        if dim == 1:
+            srt = np.sort(arr[:, 0])
+            dup = srt[1:] == srt[:-1]
+        else:
+            srt = arr[np.lexsort(arr.T)]
+            dup = (srt[1:] == srt[:-1]).all(axis=1)
+        if dup.any():
+            row = srt[int(np.argmax(dup))]
+            raise DuplicateCreation(f"duplicate item {Creation(tuple(np.atleast_1d(row)))!r}")
+    arr.setflags(write=False)
+    return arr
 
 
 def tol_buckets(A: np.ndarray) -> dict[int, int]:
@@ -527,7 +574,12 @@ def _hsi_full_dim(A: np.ndarray, b: np.ndarray, interior: np.ndarray):
     try:
         hsi = _QhullHalfspaceIntersection(hs, interior)
     except QhullError:
-        hsi = _QhullHalfspaceIntersection(hs, interior, qhull_options="QJ")
+        try:
+            hsi = _QhullHalfspaceIntersection(hs, interior, qhull_options="QJ")
+        except QhullError as exc:
+            # typically an interior point the Chebyshev LP placed within
+            # solver tolerance of a halfspace of an (almost) empty set
+            raise DegenerateSystem(f"halfspace intersection failed: {str(exc).splitlines()[0]}") from exc
     pts = hsi.intersections
     pts = pts[np.all(np.isfinite(pts), axis=1)]
     if len(pts) == 0:
@@ -650,7 +702,6 @@ def radon_partition(corpus: Corpus) -> RadonSplit:
     if len(corpus) < d + 2:
         raise InsufficientPoints(f"need at least {d + 2} points in dimension {d}")
     pts = corpus.to_array()[: d + 2]
-    items = corpus.items[: d + 2]
 
     def attempt(solve_pts: np.ndarray):
         M = np.vstack([solve_pts.T, np.ones(len(solve_pts))])
@@ -664,15 +715,13 @@ def radon_partition(corpus: Corpus) -> RadonSplit:
         if not pos.any() or not neg.any():
             return None
         w = (lam[pos] @ pts[pos]) / lam[pos].sum()
-        side_pos = Corpus((items[i] for i in np.flatnonzero(pos)), dim=d)
-        side_neg = Corpus((items[i] for i in np.flatnonzero(neg)), dim=d)
         hull_pos = Polytope.from_points(pts[pos], dim=d)
         hull_neg = Polytope.from_points(pts[neg], dim=d)
         if hull_pos.membership(w, tol=_EQ_SLACK) is Location.OUTSIDE:
             return None
         if hull_neg.membership(w, tol=_EQ_SLACK) is Location.OUTSIDE:
             return None
-        return side_pos, side_neg, Creation(tuple(w))
+        return np.flatnonzero(pos), np.flatnonzero(neg), Creation(tuple(w))
 
     result = attempt(pts)
     if result is None:
@@ -686,15 +735,7 @@ def radon_partition(corpus: Corpus) -> RadonSplit:
                 break
     if result is None:
         raise DegenerateSystem("no valid Radon split after perturbation retries")
-    side_pos, side_neg, witness = result
-    first, second = side_pos, side_neg
-    if len(side_neg) < len(side_pos):
-        first, second = side_neg, side_pos
-    elif len(side_neg) == len(side_pos):
-        for it in items:
-            if it in side_pos:
-                break
-            if it in side_neg:
-                first, second = side_neg, side_pos
-                break
-    return RadonSplit(first, second, witness)
+    rows_pos, rows_neg, witness = result
+    if (len(rows_neg), rows_neg[0]) < (len(rows_pos), rows_pos[0]):
+        rows_pos, rows_neg = rows_neg, rows_pos
+    return RadonSplit(Corpus(pts[rows_pos], dim=d), Corpus(pts[rows_neg], dim=d), witness)

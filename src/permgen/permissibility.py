@@ -28,6 +28,7 @@ from .generators import (
     FiniteGrid,
     GenerableSet,
     GeneratorSpec,
+    _in_hull_lp,
     convex_valued,
     empty_generable_set,
     generate,
@@ -39,6 +40,7 @@ from .geometry import (
     Creation,
     Polytope,
     RadonSplit,
+    _as_creation,
     convex_hull,
     halfspace_intersection,
     radon_partition,
@@ -82,15 +84,20 @@ def _leave_one_out(spec: GeneratorSpec, corpus: Corpus, c: Creation) -> Generabl
 
 
 def _conv_loo_hulls(arr: np.ndarray, full: Polytope) -> dict[int, Polytope]:
-    """Leave-one-out hulls of an (n >= 2, d) corpus array, keyed by row.
+    """Leave-one-out hulls of an (n, d) corpus array, keyed by row.
 
     Only removing an extreme row can shrink the hull, so there is one entry
     per vertex of ``full`` (the hull of ``arr``), in vertex order; each hull
     is built from ``arr`` without that row.
     """
-    row_of = {row: i for i, row in enumerate(map(tuple, arr.tolist()))}
-    rows = [row_of[tuple(v)] for v in full.vertex_array.tolist()]
-    return {i: Polytope.from_points(np.delete(arr, i, 0), dim=arr.shape[1]) for i in rows}
+    d = arr.shape[1]
+    return {i: Polytope.from_points(np.delete(arr, i, 0), dim=d) for i in _vertex_rows(arr, full)}
+
+
+def _vertex_rows(arr: np.ndarray, full: Polytope) -> list[int]:
+    """Row of ``arr`` holding each vertex of its hull ``full``, in vertex order."""
+    # corpus rows are distinct and every vertex is one of them
+    return (arr == full.vertex_array[:, None, :]).all(axis=2).argmax(axis=1).tolist()
 
 
 def conv_permissible_polytope(corpus: Corpus, full: Polytope | None = None) -> Polytope:
@@ -183,22 +190,43 @@ def classify(spec: GeneratorSpec, corpus: Corpus, point, tol: float = TOL_GEOM) 
     order and lists every infringed item.
     """
     _check_nonempty(corpus)
-    if not is_member(spec, corpus, point, tol):
-        return Classification(NOT_GENERABLE)
     if spec.kind == CONV:
-        candidates = set(convex_hull(corpus).vertices)
+        rows = _conv_infringed_rows(corpus, point, tol)
+        if rows is None:
+            return Classification(NOT_GENERABLE)
+        infringed = tuple(corpus.items[i] for i in rows)
     else:
-        candidates = set(corpus.items)
-    infringed = []
-    for c in corpus:
-        if c not in candidates:
-            continue
-        rest = corpus.without(c)
-        if len(rest) == 0 or not is_member(spec, rest, point, tol):
-            infringed.append(c)
+        if not is_member(spec, corpus, point, tol):
+            return Classification(NOT_GENERABLE)
+        infringed = tuple(
+            c for c in corpus if len(corpus) == 1 or not is_member(spec, corpus.without(c), point, tol)
+        )
     if infringed:
-        return Classification(VIOLATION, tuple(infringed))
+        return Classification(VIOLATION, infringed)
     return Classification(PERMISSIBLE)
+
+
+def _conv_infringed_rows(corpus: Corpus, point, tol: float) -> list[int] | None:
+    """Rows, in corpus order, whose removal takes ``point`` out of the hull.
+
+    None when the point is outside the hull itself. The full hull is built
+    once: its vertices are the only rows whose removal can shrink it. Up to
+    dimension 3 membership is tested on the hulls; above, by LP feasibility
+    on the rows, as ``is_member`` does.
+    """
+    arr = corpus.to_array()
+    x = _as_creation(point, corpus.dim).array
+    full = convex_hull(corpus)
+    if corpus.dim <= 3:
+        if not full.contains(x, tol):
+            return None
+        loo = _conv_loo_hulls(arr, full)
+        return sorted(i for i, hull in loo.items() if not hull.contains(x, tol))
+    if not _in_hull_lp(arr, x, tol):
+        return None
+    return sorted(
+        i for i in _vertex_rows(arr, full) if len(arr) == 1 or not _in_hull_lp(np.delete(arr, i, 0), x, tol)
+    )
 
 
 def generable_sets_equal(a: GenerableSet, b: GenerableSet, tol: float = 1e-7) -> bool:

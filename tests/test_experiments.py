@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from permgen import (
+    TOL_GEOM,
+    BoundRecord,
     BoundViolation,
+    Corpus,
     MisalignedCheckpoints,
     ZeroGenerableVolume,
     box_spec,
@@ -119,6 +122,61 @@ def test_heavy_tail_bound_violation_detectable():
     corpus = corpus_of([[-10.0], [-9.5], [-9.0], [1.0]])
     with pytest.raises(BoundViolation):
         heavy_tail_bound(corpus)
+
+
+def _heavy_tail_bound_by_sorting(values: np.ndarray, tol: float = TOL_GEOM) -> list[BoundRecord]:
+    """Reference: sorts every prefix, as heavy_tail_bound did before its one-pass form."""
+    records = []
+    for n in range(2, len(values) + 1):
+        prefix = values[:n]
+        prev_max = float(prefix[:-1].max())
+        cur_max = float(prefix.max())
+        bound = prev_max / cur_max if cur_max != 0 else float("inf")
+        srt = np.sort(prefix)
+        vol_g = float(srt[-1] - srt[0])
+        vol_p = max(0.0, float(srt[-2] - srt[1]))
+        ratio = vol_p / vol_g if vol_g > 0 else 0.0
+        if ratio > bound + tol:
+            raise BoundViolation(
+                f"ratio {ratio} exceeds successive-maxima bound {bound} at step {n}"
+            )
+        records.append(BoundRecord(n, bound, ratio))
+    return records
+
+
+def _bound_outcome(fn, arg):
+    """Records as exact bit patterns, or the violation message."""
+    try:
+        return [(r.n, r.bound.hex(), r.ratio.hex()) for r in fn(arg)]
+    except BoundViolation as exc:
+        return str(exc)
+
+
+def _streams():
+    for alpha in (0.3, 1.0):
+        dist = parse_distribution(f"pareto:d=1,alpha={alpha}")
+        for seed in range(4):
+            yield sample_points(dist, 300, seed=seed)
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        yield rng.normal(size=(40, 1))
+    yield np.array([[-10.0], [-9.5], [-9.0], [1.0]])
+    yield np.array([[-3.0], [-0.0], [2.0], [-1.0]])
+    yield np.array([[-2.0], [-1.0], [0.0], [-0.5]])
+    for n in (0, 1, 2):
+        yield np.arange(1.0, n + 1.0).reshape(-1, 1)
+
+
+def test_heavy_tail_bound_matches_sorting_oracle():
+    outcomes = []
+    for pts in _streams():
+        corpus = Corpus.from_array(pts, dim=1)
+        got = _bound_outcome(heavy_tail_bound, corpus)
+        assert got == _bound_outcome(_heavy_tail_bound_by_sorting, pts[:, 0])
+        outcomes.append(got)
+    # both kinds of outcome are exercised: signed streams violate the bound
+    assert any(isinstance(o, str) for o in outcomes)
+    assert outcomes[-3:] == [[], [], [(2, (1.0 / 2.0).hex(), (0.0).hex())]]
 
 
 # -- growth trajectories -----------------------------------------------------------

@@ -63,6 +63,60 @@ def test_corpus_set_equality_ignores_order():
     b = corpus_of([[1.0], [0.0]])
     assert a == b
     assert hash(a) == hash(b)
+    assert corpus_of([[0.0]]) == corpus_of([[-0.0]])
+    assert a != corpus_of([[0.0], [2.0]])
+    assert a != corpus_of([[0.0], [1.0], [2.0]])
+
+
+@pytest.mark.parametrize("rows", [[[0.0], [-0.0]], [[1.0, 0.0], [2.0, 3.0], [1.0, -0.0]]])
+def test_corpus_signed_zeros_are_duplicates(rows):
+    with pytest.raises(DuplicateCreation):
+        Corpus.from_array(rows)
+    with pytest.raises(DuplicateCreation):
+        Corpus([Creation(tuple(r)) for r in rows])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_corpus_from_array_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        Corpus.from_array([[0.0, 1.0], [bad, 2.0]])
+
+
+def test_corpus_from_array_dimension_check():
+    with pytest.raises(DimensionMismatch):
+        Corpus.from_array([[0.0, 1.0], [2.0, 3.0]], dim=3)
+    with pytest.raises(DimensionMismatch):
+        Corpus(np.zeros((1, 2)), dim=1)
+
+
+def test_corpus_array_is_read_only_and_not_copied():
+    rows = np.array([[0.0, 1.0], [2.0, -0.0]])
+    corpus = Corpus.from_array(rows)
+    arr = corpus.to_array()
+    assert arr is corpus.to_array()
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0, 0] = 5.0
+    # the caller's array stays writable and is not shared
+    rows[0, 0] = 7.0
+    assert arr[0, 0] == 0.0
+    assert np.signbit(arr[1, 1])
+
+
+def test_corpus_from_array_matches_creation_corpus():
+    rows = [[0.5, -0.0], [1.0, 2.0], [-3.0, 4.0]]
+    made = [Creation(tuple(r)) for r in rows]
+    from_items = Corpus(made)
+    from_rows = Corpus.from_array(rows)
+    assert from_rows == from_items
+    assert hash(from_rows) == hash(from_items) == hash((2, frozenset(made)))
+    assert all(a is b for a, b in zip(from_items.items, made))
+    assert from_rows.items == from_items.items
+    assert all(type(v) is float for c in from_rows.items for v in c.coords)
+    assert np.signbit(from_rows.items[0].coords[1])
+    assert made[1] in from_rows and [1.0, 2.0] in from_rows
+    assert [1.0] not in from_rows and [2.0, 1.0] not in from_rows
+    assert np.array_equal(from_items.to_array(), from_rows.to_array())
 
 
 def test_corpus_without():
@@ -70,6 +124,24 @@ def test_corpus_without():
     rest = corpus.without(Creation((1.0,)))
     assert len(rest) == 2
     assert Creation((1.0,)) not in rest
+    assert list(rest) == [Creation((0.0,)), Creation((2.0,))]
+    assert corpus.without([-0.0]) == corpus_of([[1.0], [2.0]])
+    assert corpus.without([5.0]) == corpus
+    assert corpus.without_many([[0.0], [2.0]]) == corpus_of([[1.0]])
+    with pytest.raises(DimensionMismatch):
+        corpus.without([1.0, 2.0])
+
+
+def test_corpus_add():
+    corpus = Corpus.from_array([[0.0], [2.0]])
+    grown = corpus.add([1.0])
+    assert grown.to_array()[:, 0].tolist() == [0.0, 2.0, 1.0]
+    assert grown == corpus_of([[2.0], [1.0], [0.0]])
+    assert len(corpus) == 2
+    with pytest.raises(DuplicateCreation):
+        grown.add(Creation((-0.0,)))
+    with pytest.raises(DimensionMismatch):
+        grown.add([3.0, 4.0])
 
 
 # -- convex hull ---------------------------------------------------------------

@@ -8,6 +8,7 @@ from permgen import (
     ConvexRegion,
     Corpus,
     Creation,
+    DegenerateSystem,
     DuplicateCreation,
     FiniteGrid,
     InsufficientPoints,
@@ -102,6 +103,15 @@ def test_splice_grids_keep_distinct_values_at_large_coordinates():
     assert res.permissible.is_empty
 
 
+def test_near_empty_intersection_raises_typed_error():
+    # the Chebyshev LP finds a 5.75e-8 inradius for an intersection that is
+    # empty up to solver tolerance, and Qhull rejects that centre even when
+    # joggled: a typed error, not a raw QhullError
+    corpus = corpus_of([[0.0, 0.0], [0.0, 1.15e-7], [1.0, 0.0]])
+    with pytest.raises(DegenerateSystem):
+        permissible_set(conv_spec(), corpus)
+
+
 # -- cross-validation against the definitional oracle ----------------------------
 
 
@@ -192,6 +202,22 @@ def test_classify_violation_at_large_coordinates():
     verdict = classify(conv_spec(), corpus, [2.5e11])
     assert verdict.status == VIOLATION
     assert [c.coords for c in verdict.infringed] == [(3e11,)]
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_classify_infringed_matches_leave_one_out_oracle(rng, dim):
+    # dim 2 tests membership on the hulls, dim 4 by LP on the rows
+    pts = rng.normal(size=(dim + 5, dim))
+    corpus = corpus_of(pts)
+    queries = np.vstack([rng.dirichlet(np.ones(len(pts)), size=8) @ pts, 1.5 * rng.normal(size=(8, dim))])
+    for q in queries:
+        verdict = classify(conv_spec(), corpus, q)
+        if not oracle_in_hull(pts, q):
+            assert verdict.status == NOT_GENERABLE
+            continue
+        expected = [tuple(p) for i, p in enumerate(pts) if not oracle_in_hull(np.delete(pts, i, 0), q)]
+        assert [c.coords for c in verdict.infringed] == expected
+        assert verdict.status == (VIOLATION if expected else PERMISSIBLE)
 
 
 def test_classify_agrees_with_oracle(rng):
