@@ -19,13 +19,9 @@ from .errors import (
     NotConvexValued,
     ZeroGenerableVolume,
 )
-from .generators import BOX, CONV, ConvexRegion, GeneratorSpec, convex_valued, generate
-from .geometry import TOL_GEOM, Corpus, Polytope, volume
-from .permissibility import (
-    box_permissible_polytope,
-    conv_permissible_polytope,
-    permissible_set,
-)
+from .generators import GeneratorSpec, convex_valued, generate
+from .geometry import TOL_GEOM, Corpus, volume
+from .permissibility import _permissible
 from .sampling import DistributionSpec, sample_points
 
 _FLOAT_FMT = ".17g"
@@ -35,43 +31,27 @@ def _format_float(x: float) -> str:
     return format(float(x), _FLOAT_FMT)
 
 
-def _generable_polytope(spec: GeneratorSpec, corpus: Corpus) -> Polytope:
-    result = generate(spec, corpus)
-    if not isinstance(result, ConvexRegion):
-        raise NotConvexValued(f"volume ratios need a convex-valued generator, got {spec}")
-    return result.polytope
-
-
-def _permissible_polytope(spec: GeneratorSpec, corpus: Corpus, full: Polytope) -> Polytope:
-    if spec.kind == CONV:
-        return conv_permissible_polytope(corpus, full)
-    if spec.kind == BOX:
-        return box_permissible_polytope(corpus)
-    result = permissible_set(spec, corpus).permissible
-    if not isinstance(result, ConvexRegion):
-        raise NotConvexValued(f"volume ratios need a convex-valued generator, got {spec}")
-    return result.polytope
-
-
 def _volume_ratio(
     spec: GeneratorSpec, corpus: Corpus, method: str, mc_samples: int, mc_seed: int
 ) -> tuple[float, float, float]:
     """(generable volume, permissible volume, ratio) of one corpus.
 
-    The one place that picks exact volumes or Monte Carlo. ``exact`` needs
-    dim <= 3. ``mc`` draws ``mc_samples`` uniform points from the bounding
-    box of the generable set with a Philox(``mc_seed``) stream and counts
-    hits. Raises ZeroGenerableVolume when the generable set has zero volume
-    or no sample lands in it.
+    The one place that picks exact volumes or Monte Carlo; ``spec`` must be
+    convex-valued, which both callers check. ``exact`` needs dim <= 3.
+    ``mc`` draws ``mc_samples`` uniform points from the bounding box of the
+    generable set with a Philox(``mc_seed``) stream and counts hits. Raises
+    ZeroGenerableVolume when the generable set has zero volume or no sample
+    lands in it.
     """
     if method == "exact" and corpus.dim > 3:
         raise ValueError("exact volumes are limited to dimension <= 3")
     if method not in ("exact", "mc"):
         raise ValueError(f"unknown method {method!r}")
-    full = _generable_polytope(spec, corpus)
+    generable = generate(spec, corpus)
+    full = generable.polytope
     if full.has_zero_volume:
         raise ZeroGenerableVolume(f"generable set has zero volume at n={len(corpus)}")
-    perm = _permissible_polytope(spec, corpus, full)
+    perm = _permissible(spec, corpus, generable).polytope
     if method == "exact":
         vol_g = volume(full)
         if vol_g <= 0.0:

@@ -24,7 +24,6 @@ from .geometry import (
     TOL_GEOM,
     Corpus,
     Creation,
-    Location,
     Polytope,
     convex_hull,
     tol_buckets,
@@ -205,15 +204,9 @@ GenerableSet = ConvexRegion | FiniteGrid
 
 def empty_generable_set(spec: GeneratorSpec, dim: int) -> GenerableSet:
     """The image of the empty corpus: empty, with the generator's output kind."""
-    if _output_is_region(spec):
+    if convex_valued(spec):
         return ConvexRegion(Polytope.empty(dim))
     return FiniteGrid(dim, tuple(() for _ in range(dim)))
-
-
-def _output_is_region(spec: GeneratorSpec) -> bool:
-    if spec.kind == "composed":
-        return _output_is_region(spec.stages[0])
-    return spec.kind in (CONV, BOX)
 
 
 def _coordinate_value_sets(arr: np.ndarray) -> tuple[tuple[float, ...], ...]:
@@ -372,18 +365,24 @@ def check_closure_axioms(
 
 
 def _check_idempotence(spec: GeneratorSpec, corpus: Corpus, tol: float) -> bool:
-    result = generate(spec, corpus)
-    if isinstance(result, ConvexRegion):
-        if result.is_empty:
-            return True
-        re_corpus = Corpus.from_array(result.polytope.vertex_array, dim=corpus.dim)
-        again = generate(spec, re_corpus)
-        return isinstance(again, ConvexRegion) and again.polytope.equals(result.polytope, max(tol, 1e-7))
+    return _regenerates(spec, generate(spec, corpus), tol)
+
+
+def _regenerates(spec: GeneratorSpec, result: GenerableSet, tol: float = TOL_GEOM) -> bool:
+    """Whether applying ``spec`` to the points of ``result`` gives ``result`` back.
+
+    A region is regenerated from its vertices and compared at tolerance at
+    least 1e-7; a grid from its points, at tolerance at least 1e-9. The
+    empty set regenerates trivially.
+    """
     if result.is_empty:
         return True
-    re_corpus = Corpus.from_array(result.points(), dim=corpus.dim)
-    again = generate(spec, re_corpus)
-    return isinstance(again, FiniteGrid) and again.equals(result, max(tol, 1e-9))
+    if isinstance(result, ConvexRegion):
+        rows, tol = result.polytope.vertex_array, max(tol, 1e-7)
+    else:
+        rows, tol = result.points(), max(tol, 1e-9)
+    again = generate(spec, Corpus.from_array(rows, dim=result.dim))
+    return again.equals(result, tol)
 
 
 @dataclass(frozen=True)

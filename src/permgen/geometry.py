@@ -1,6 +1,7 @@
 """Convex-geometry kernel: points, corpora, polytopes, and the operations
 the rest of the package is built on (hulls, halfspace intersections,
-membership, volumes, support functions, Radon partitions).
+membership, volumes, support functions, Radon partitions). Hulls, vertex
+enumeration and volumes are Qhull's; feasibility questions are HiGHS LPs.
 
 Every polytope carries both a minimal vertex representation and a halfspace
 representation with unit-length normals, so a halfspace residual is a signed
@@ -46,8 +47,6 @@ _FULL_DIM_RADIUS = 1e-7
 # whole feasible set (implicit equalities). Looser than TOL_GEOM to absorb
 # LP solver noise.
 _EQ_SLACK = 1e-7
-
-_MC_DEFAULT_SAMPLES = 100_000
 
 
 class Location(enum.Enum):
@@ -300,9 +299,9 @@ class Polytope:
             raise DimensionMismatch(f"points have dimension {P.shape[1]}, expected {dim}")
         if not np.all(np.isfinite(P)):
             raise ValueError("non-finite coordinates")
-        P = P[list(tol_buckets(P))]
         if dim == 1:
             return cls._interval(P)
+        P = P[list(tol_buckets(P))]
         o, B, N = _affine_rank(P)
         k = B.shape[1]
         if k == 0:
@@ -588,39 +587,17 @@ def _hsi_full_dim(A: np.ndarray, b: np.ndarray, interior: np.ndarray):
 
 
 def volume(polytope: Polytope) -> float:
-    """Exact volume for dim <= 3; Monte Carlo with fixed defaults above that.
+    """Volume of a polytope: Qhull's, from a hull of its vertices.
 
-    Degenerate and empty polytopes have volume 0. The 2D case is the
-    shoelace formula on angularly ordered vertices; 3D sums tetrahedra from
-    the centroid over triangulated facets.
+    Empty and lower-dimensional polytopes have volume 0; in dimension 1 the
+    volume is the interval length.
     """
     if polytope.is_empty or polytope.has_zero_volume:
         return 0.0
     V = polytope.vertex_array
-    d = polytope.dim
-    if d == 1:
+    if polytope.dim == 1:
         return float(V.max() - V.min())
-    if d == 2:
-        c = V.mean(axis=0)
-        order = np.argsort(np.arctan2(V[:, 1] - c[1], V[:, 0] - c[0]))
-        W = V[order]
-        x, y = W[:, 0], W[:, 1]
-        return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)) / 2.0)
-    if d == 3:
-        hull = _qhull(V)
-        c = V.mean(axis=0)
-        total = 0.0
-        for simplex in hull.simplices:
-            T = V[simplex] - c
-            total += abs(np.linalg.det(T)) / 6.0
-        return float(total)
-    est, _ = mc_volume(polytope.contains_batch, _bbox_polytope(polytope), _MC_DEFAULT_SAMPLES, seed=0)
-    return est
-
-
-def _bbox_polytope(polytope: Polytope) -> Polytope:
-    lo, hi = polytope.bounding_box()
-    return Polytope.box(lo, hi)
+    return float(_qhull(V).volume)
 
 
 def mc_volume(region_membership, bounding: Polytope, samples: int, seed: int) -> tuple[float, float]:

@@ -68,7 +68,6 @@ class Classification:
 class PermissibleResult:
     generable: GenerableSet
     permissible: GenerableSet
-    per_creation: dict[Creation, GenerableSet]
 
 
 def _check_nonempty(corpus: Corpus) -> None:
@@ -151,35 +150,30 @@ def _intersect_generable(sets: list[GenerableSet], spec: GeneratorSpec, dim: int
     return FiniteGrid(dim, tuple(value_sets))
 
 
+def _permissible(spec: GeneratorSpec, corpus: Corpus, generable: GenerableSet) -> GenerableSet:
+    """Intersection of the leave-one-out images; ``generable`` is generate(spec, corpus).
+
+    The one place that picks a permissible-set routine per generator kind.
+    Every routine returns the empty set for a singleton corpus.
+    """
+    if spec.kind == CONV:
+        return ConvexRegion(conv_permissible_polytope(corpus, generable.polytope))  # type: ignore[union-attr]
+    if spec.kind == BOX:
+        return ConvexRegion(box_permissible_polytope(corpus))
+    if spec.kind == SPLICE:
+        return _splice_permissible_grid(corpus)
+    return _intersect_generable([_leave_one_out(spec, corpus, c) for c in corpus], spec, corpus.dim)
+
+
 def permissible_set(spec: GeneratorSpec, corpus: Corpus) -> PermissibleResult:
-    """Generable set, leave-one-out images, and their intersection.
+    """Generable set and the intersection of its leave-one-out images.
 
     A singleton corpus has an empty permissible set: removing its only item
     leaves nothing to generate from.
     """
     _check_nonempty(corpus)
     generable = generate(spec, corpus)
-    dim = corpus.dim
-    if len(corpus) == 1:
-        only = corpus.items[0]
-        return PermissibleResult(
-            generable, empty_generable_set(spec, dim), {only: empty_generable_set(spec, dim)}
-        )
-    if spec.kind == CONV:
-        full = generable.polytope  # type: ignore[union-attr]
-        loo = _conv_loo_hulls(corpus.to_array(), full)
-        per = {c: ConvexRegion(loo.get(i, full)) for i, c in enumerate(corpus)}
-        permissible = ConvexRegion(halfspace_intersection(list(loo.values())))
-        return PermissibleResult(generable, permissible, per)
-    if spec.kind == BOX:
-        per = {c: _leave_one_out(spec, corpus, c) for c in corpus}
-        return PermissibleResult(generable, ConvexRegion(box_permissible_polytope(corpus)), per)
-    if spec.kind == SPLICE:
-        per = {c: _leave_one_out(spec, corpus, c) for c in corpus}
-        return PermissibleResult(generable, _splice_permissible_grid(corpus), per)
-    per = {c: _leave_one_out(spec, corpus, c) for c in corpus}
-    permissible = _intersect_generable(list(per.values()), spec, dim)
-    return PermissibleResult(generable, permissible, per)
+    return PermissibleResult(generable, _permissible(spec, corpus, generable))
 
 
 def classify(spec: GeneratorSpec, corpus: Corpus, point, tol: float = TOL_GEOM) -> Classification:
@@ -230,11 +224,7 @@ def _conv_infringed_rows(corpus: Corpus, point, tol: float) -> list[int] | None:
 
 
 def generable_sets_equal(a: GenerableSet, b: GenerableSet, tol: float = 1e-7) -> bool:
-    if isinstance(a, ConvexRegion) and isinstance(b, ConvexRegion):
-        return a.polytope.equals(b.polytope, tol)
-    if isinstance(a, FiniteGrid) and isinstance(b, FiniteGrid):
-        return a.equals(b, tol)
-    return a.is_empty and b.is_empty
+    return a.equals(b, tol) or (a.is_empty and b.is_empty)
 
 
 def generable_set_included(a: GenerableSet, b: GenerableSet, tol: float = 1e-7) -> bool:
@@ -280,7 +270,7 @@ def add_creation_effect(spec: GeneratorSpec, corpus: Corpus, creation) -> AddEff
     the geometry kernel broke an exact law.
     """
     _check_nonempty(corpus)
-    c = creation if isinstance(creation, Creation) else Creation(tuple(np.atleast_1d(creation)))
+    c = _as_creation(creation, corpus.dim)
     if c in corpus:
         raise DuplicateCreation(f"{c!r} is already in the corpus")
     before = permissible_set(spec, corpus)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import (
-    ConvexRegion,
-    FiniteGrid,
+    _regenerates,
     box_spec,
     check_closure_axioms,
     check_convex_valued,
@@ -24,14 +23,12 @@ from .generators import (
 )
 from .geometry import Corpus, Creation, convex_hull
 from .permissibility import (
-    NOT_GENERABLE,
     PERMISSIBLE,
     VIOLATION,
     Collection,
     add_creation_effect,
     classify,
     generable_set_included,
-    generable_sets_equal,
     groupwise_permissible,
     permissible_set,
     radon_nonemptiness_witness,
@@ -134,22 +131,8 @@ def run_permissibility_suite(trials: int, seed: int = 0) -> list[PropertyResult]
             monotone.record_failure(detail)
 
         # stability: regenerating from the permissible set leaves it fixed
-        perm = result.permissible
-        if isinstance(perm, ConvexRegion):
-            if not perm.is_empty:
-                re_corpus = Corpus.from_array(perm.polytope.vertex_array, dim=dim)
-                again = generate(spec, re_corpus)
-                if not (
-                    isinstance(again, ConvexRegion)
-                    and again.polytope.equals(perm.polytope, 1e-7)
-                ):
-                    stability.record_failure(detail)
-        else:
-            if not perm.is_empty:
-                re_corpus = Corpus.from_array(perm.points(), dim=dim)
-                again = generate(spec, re_corpus)
-                if not (isinstance(again, FiniteGrid) and again.equals(perm, 1e-9)):
-                    stability.record_failure(detail)
+        if not _regenerates(spec, result.permissible):
+            stability.record_failure(detail)
 
         # insertion trichotomy
         candidate = _insertion_candidate(rng, spec, name, corpus)
@@ -246,14 +229,8 @@ def run_groupwise_suite(trials: int, seed: int = 0) -> list[PropertyResult]:
         if not generable_set_included(p_coarse, p_grown):
             monotone.record_failure(detail)
 
-        if isinstance(p_coarse, ConvexRegion) and not p_coarse.is_empty:
-            re_corpus = Corpus.from_array(p_coarse.polytope.vertex_array, dim=dim)
-            again = generate(spec, re_corpus)
-            if not (
-                isinstance(again, ConvexRegion)
-                and again.polytope.equals(p_coarse.polytope, 1e-7)
-            ):
-                stability.record_failure(detail)
+        if not _regenerates(spec, p_coarse):
+            stability.record_failure(detail)
 
         items = list(corpus.items)
         half = max(1, int(rng.integers(1, max(2, len(items) // 2))))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull as ScipyConvexHull
 
 from permgen import (
     TOL_GEOM,
@@ -169,6 +170,15 @@ def test_hull_keeps_extremes_at_large_coordinates():
     assert sorted(poly.vertex_array[:, 0]) == [0.0, 3e11]
 
 
+def test_interval_endpoints_are_exact_row_extremes():
+    # a near-duplicate within TOL_GEOM of each extreme comes first; the hull
+    # must still end at the exact minimum and maximum row
+    rows = [[0.5 * TOL_GEOM], [0.25], [1.0 - 0.5 * TOL_GEOM], [0.0], [1.0]]
+    poly = convex_hull(corpus_of(rows))
+    assert sorted(poly.vertex_array[:, 0]) == [0.0, 1.0]
+    assert list(poly.offsets) == [1.0, 0.0]
+
+
 def test_hull_empty_corpus_raises():
     with pytest.raises(EmptyCorpus):
         convex_hull(Corpus([], dim=2))
@@ -291,6 +301,19 @@ def test_volume_zero_for_degenerate():
 
 def test_volume_empty_is_zero():
     assert volume(Polytope.empty(2)) == 0.0
+
+
+def test_volume_of_unit_simplex_in_four_dims():
+    simplex = convex_hull(corpus_of(np.vstack([np.zeros(4), np.eye(4)])))
+    assert volume(simplex) == pytest.approx(1.0 / 24.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_volume_matches_qhull_hull_of_the_points(rng, dim):
+    for _ in range(5):
+        pts = rng.normal(size=(40, dim))
+        expected = ScipyConvexHull(pts).volume
+        assert volume(convex_hull(corpus_of(pts))) == pytest.approx(expected, rel=1e-12)
 
 
 def test_shoelace_matches_triangulation(rng):

@@ -22,6 +22,8 @@ from permgen import (
     generable_sets_equal,
     generate,
     groupwise_permissible,
+    halfspace_intersection,
+    parse_generator,
     permissible_set,
     radon_nonemptiness_witness,
     richness_compare,
@@ -29,6 +31,7 @@ from permgen import (
     superadditivity_check,
     volume,
 )
+from permgen import permissibility
 from permgen.permissibility import NOT_GENERABLE, PERMISSIBLE, VIOLATION
 
 from conftest import corpus_of, oracle_in_hull, oracle_permissible, regular_polygon
@@ -68,6 +71,37 @@ def test_singleton_corpus_permissible_empty():
         res = permissible_set(spec, corpus_of([[3.0, 4.0]]))
         assert res.permissible.is_empty
         assert not res.generable.is_empty
+
+
+@pytest.mark.parametrize("spec", [box_spec(), splice_spec()])
+def test_permissible_set_generates_once(monkeypatch, rng, spec):
+    # box and splice read their permissible sets off order statistics and
+    # repeated values; no leave-one-out image is generated
+    sizes = []
+    real = permissibility.generate
+    monkeypatch.setattr(permissibility, "generate", lambda s, c: sizes.append(len(c)) or real(s, c))
+    corpus = corpus_of(rng.uniform(-1, 1, size=(7, 2)))
+    permissible_set(spec, corpus)
+    assert sizes == [7]
+
+
+@pytest.mark.parametrize("text", ["conv|splice", "box|splice"])
+def test_composed_permissible_is_intersection_of_leave_one_out_images(rng, text):
+    spec = parse_generator(text)
+    assert permissible_set(spec, corpus_of([[0.5, -0.5]])).permissible.is_empty
+    for _ in range(8):
+        n = int(rng.integers(2, 7))
+        d = int(rng.integers(1, 4))
+        corpus = corpus_of(rng.uniform(-1, 1, size=(n, d)))
+        perm = permissible_set(spec, corpus).permissible
+        images = [generate(spec, corpus.without(c)) for c in corpus]
+        assert isinstance(perm, ConvexRegion)
+        assert perm.polytope.equals(halfspace_intersection([im.polytope for im in images]))
+        for v in perm.polytope.vertex_array:
+            assert all(im.contains(v, 1e-7) for im in images)
+        for q in rng.uniform(-1.1, 1.1, size=(30, d)):
+            if perm.contains(q) != all(im.contains(q) for im in images):
+                assert _near_region_boundary(perm, q)
 
 
 def test_hexagon_permissible_is_inner_hexagon():
