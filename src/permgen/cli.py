@@ -213,11 +213,11 @@ def _raster(gen_set, perm_set, resolution: int) -> dict:
     ys = np.linspace(lo[1], hi[1], resolution)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    in_gen = gen_set.contains_batch(pts)
-    in_perm = perm_set.contains_batch(pts)
+    in_gen = np.flatnonzero(gen_set.contains_batch(pts))
     status = np.full(len(pts), "not_generable", dtype=object)
     status[in_gen] = VIOLATION
-    status[in_gen & in_perm] = PERMISSIBLE
+    # the permissible set is tested only on generable cells
+    status[in_gen[perm_set.contains_batch(pts[in_gen])]] = PERMISSIBLE
     return {
         "xs": list(xs.tolist()),
         "ys": list(ys.tolist()),

@@ -31,6 +31,17 @@ def _format_float(x: float) -> str:
     return format(float(x), _FLOAT_FMT)
 
 
+def _stratified_unit(n: int, d: int, seed: int) -> np.ndarray:
+    """n points in [0, 1)^d from a Philox(``seed``) stream: for the largest m with m^d <= n,
+    the first m^d fall one per cell of the m^d grid (jittered), the rest are plain uniform."""
+    u = np.random.Generator(np.random.Philox(seed)).random((n, d))
+    m = int(n ** (1.0 / d))  # a float guess, made exact in integers
+    m += (m + 1) ** d <= n
+    m -= m**d > n
+    u[: m**d] = (u[: m**d] + np.indices((m,) * d).reshape(d, -1).T) / m
+    return u
+
+
 def _volume_ratio(
     spec: GeneratorSpec, corpus: Corpus, method: str, mc_samples: int, mc_seed: int
 ) -> tuple[float, float, float]:
@@ -38,10 +49,10 @@ def _volume_ratio(
 
     The one place that picks exact volumes or Monte Carlo; ``spec`` must be
     convex-valued, which both callers check. ``exact`` needs dim <= 3.
-    ``mc`` draws ``mc_samples`` uniform points from the bounding box of the
-    generable set with a Philox(``mc_seed``) stream and counts hits. Raises
-    ZeroGenerableVolume when the generable set has zero volume or no sample
-    lands in it.
+    ``mc`` draws ``mc_samples`` stratified points (``_stratified_unit``) over
+    the bounding box of the generable set and counts generable hits, then
+    permissible hits among them. Raises ZeroGenerableVolume when the
+    generable set has zero volume or no sample lands in it.
     """
     if method == "exact" and corpus.dim > 3:
         raise ValueError("exact volumes are limited to dimension <= 3")
@@ -59,13 +70,12 @@ def _volume_ratio(
         vol_p = volume(perm)
         return vol_g, vol_p, min(1.0, max(0.0, vol_p / vol_g))
     lo, hi = full.bounding_box()
-    rng = np.random.Generator(np.random.Philox(mc_seed))
-    pts = lo + rng.random((mc_samples, corpus.dim)) * (hi - lo)
+    pts = lo + _stratified_unit(mc_samples, corpus.dim, mc_seed) * (hi - lo)
     in_g = full.contains_batch(pts)
     hits_g = int(np.count_nonzero(in_g))
     if hits_g == 0:
         raise ZeroGenerableVolume("no generable hits in the Monte Carlo sample")
-    hits_p = int(np.count_nonzero(perm.contains_batch(pts) & in_g))
+    hits_p = int(np.count_nonzero(perm.contains_batch(pts[in_g])))
     box_vol = float(np.prod(hi - lo))
     return box_vol * hits_g / mc_samples, box_vol * hits_p / mc_samples, hits_p / hits_g
 
@@ -80,10 +90,10 @@ def permissible_ratio(
     """Volume of the permissible set over the volume of the generable set.
 
     ``method="exact"`` uses exact polytope volumes and requires dim <= 3;
-    ``method="mc"`` evaluates both sets on one shared uniform sample over
-    the bounding box of the generable set, so the ratio is a plain hit
-    count quotient and never exceeds 1. Raises ZeroGenerableVolume when the
-    generable set is degenerate.
+    ``method="mc"`` draws one stratified sample over the bounding box of the
+    generable set and tests the permissible set only on its generable hits,
+    so the ratio is a plain hit count quotient and never exceeds 1. Raises
+    ZeroGenerableVolume when the generable set is degenerate.
     """
     if not convex_valued(spec):
         raise NotConvexValued(f"volume ratios need a convex-valued generator, got {spec}")

@@ -405,19 +405,22 @@ class Polytope:
         return self.membership(point, tol) is not Location.OUTSIDE
 
     def contains_batch(self, points: np.ndarray, tol: float = TOL_GEOM) -> np.ndarray:
-        """Vectorized closed-membership test for an (m, d) array of points."""
+        """Vectorized closed-membership test for an (m, d) array of points: the largest
+        residual ``normals @ x - offsets`` is at most ``tol`` (NaN reads as outside).
+        Rows go in blocks of about 2**18 residuals, bounding memory at any facet count."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise DimensionMismatch(f"points have dimension {pts.shape[1]}, expected {self.dim}")
         if self.is_empty:
             return np.zeros(len(pts), dtype=bool)
         out = np.ones(len(pts), dtype=bool)
-        # chunked so 1e6-point batches do not allocate m x facets at once
-        step = 65536
+        if len(self.offsets) == 0:
+            return out
+        step = max(1, 2**18 // len(self.offsets))
         for start in range(0, len(pts), step):
-            block = pts[start : start + step]
-            res = block @ self.normals.T - self.offsets
-            out[start : start + step] = (res <= tol).all(axis=1)
+            res = pts[start : start + step] @ self.normals.T
+            res -= self.offsets
+            out[start : start + step] = res.max(axis=1) <= tol
         return out
 
     def equals(self, other: "Polytope", tol: float = 1e-7) -> bool:

@@ -113,9 +113,12 @@ def box_permissible_polytope(corpus: Corpus) -> Polytope:
     if len(corpus) <= 1:
         return Polytope.empty(corpus.dim)
     arr = np.sort(corpus.to_array(), axis=0)
-    lo, hi = arr[1], arr[-2]
+    return _box_or_empty(arr[1], arr[-2])
+
+
+def _box_or_empty(lo: np.ndarray, hi: np.ndarray) -> Polytope:
     if np.any(lo > hi + TOL_GEOM):
-        return Polytope.empty(corpus.dim)
+        return Polytope.empty(len(lo))
     return Polytope.box(lo, np.maximum(lo, hi))
 
 
@@ -134,6 +137,9 @@ def _splice_permissible_grid(corpus: Corpus) -> FiniteGrid:
 def _intersect_generable(sets: list[GenerableSet], spec: GeneratorSpec, dim: int) -> GenerableSet:
     if any(s.is_empty for s in sets):
         return empty_generable_set(spec, dim)
+    if spec.kind == BOX:  # axis-aligned boxes intersect coordinatewise
+        corners = np.array([s.polytope.bounding_box() for s in sets])  # type: ignore[union-attr]
+        return ConvexRegion(_box_or_empty(corners[:, 0].max(axis=0), corners[:, 1].min(axis=0)))
     if all(isinstance(s, ConvexRegion) for s in sets):
         return ConvexRegion(halfspace_intersection([s.polytope for s in sets]))
     # product grids intersect coordinatewise

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from permgen import Corpus, parse_generator, permissible_set
 from permgen.cli import main
 
 
@@ -90,6 +92,27 @@ def test_analyze_raster(triangle_file, capsys):
     flat = {s for row in raster["status"] for s in row}
     assert "not_generable" in flat
     assert "violation" in flat
+
+
+@pytest.mark.parametrize("generator", ["conv", "box", "conv|splice", "box|splice"])
+def test_analyze_raster_statuses_match_the_sets(tmp_path, capsys, generator):
+    rows = [[0.0, 0.0], [3.0, 0.5], [1.0, 3.0], [2.5, 2.5], [1.0, 1.0], [2.0, 1.0], [0.5, 2.5]]
+    path = tmp_path / "corpus.csv"
+    path.write_text("".join(f"{x},{y}\n" for x, y in rows))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--generator", generator, "--grid-res", "24")
+    assert code == 0
+    raster = json.loads(out)["plot"]["raster"]
+    res = permissible_set(parse_generator(generator), Corpus.from_array(np.array(rows)))
+    seen = set()
+    for y, row in zip(raster["ys"], raster["status"]):
+        for x, status in zip(raster["xs"], row):
+            if not res.generable.contains([x, y]):
+                expected = "not_generable"
+            else:
+                expected = "permissible" if res.permissible.contains([x, y]) else "violation"
+            assert status == expected
+            seen.add(status)
+    assert {"not_generable", "violation"} <= seen
 
 
 def test_analyze_deterministic_output(triangle_file, capsys):

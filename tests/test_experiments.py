@@ -12,17 +12,21 @@ from permgen import (
     ZeroGenerableVolume,
     box_spec,
     conv_spec,
+    generate,
     heavy_tail_bound,
     parse_distribution,
     permissible_ratio,
+    permissible_set,
     run_growth,
     sample_points,
     splice_spec,
     summarize,
+    volume,
     write_stats,
     write_trajectories,
 )
 from permgen.errors import DimensionNotOne, NotConvexValued
+from permgen.experiments import _stratified_unit
 
 from conftest import corpus_of, regular_polygon
 
@@ -251,6 +255,67 @@ def test_run_growth_mc_method():
     exact = run_growth(dist, conv_spec(), 40, [40], seeds=[0], method="exact")
     mc = run_growth(dist, conv_spec(), 40, [40], seeds=[0], method="mc", mc_samples=200_000)
     assert mc[0].records[0].ratio == pytest.approx(exact[0].records[0].ratio, abs=0.02)
+
+
+# -- Monte Carlo samples --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, d, m",
+    [
+        (1000, 3, 10),
+        (999, 3, 9),
+        (1001, 3, 10),
+        (8, 3, 2),
+        (81, 4, 3),
+        (80, 4, 2),
+        (100_000, 2, 316),
+        (100_000, 3, 46),
+        (100_000, 4, 17),
+    ],
+)
+def test_stratified_sample_one_point_per_cell(n, d, m):
+    u = _stratified_unit(n, d, seed=11)
+    plain = np.random.Generator(np.random.Philox(11)).random((n, d))
+    assert u.shape == (n, d)
+    assert (u >= 0.0).all() and (u < 1.0).all()
+    # the first m^d points fill the m^d grid one per cell, the rest are the plain stream
+    cells = np.floor(u[: m**d] * m).astype(int)
+    assert len(np.unique(cells, axis=0)) == m**d
+    assert np.array_equal(u[m**d :], plain[m**d :])
+
+
+def test_stratified_sample_below_two_per_axis_is_plain_uniform():
+    for n in (0, 1, 7):
+        plain = np.random.Generator(np.random.Philox(5)).random((n, 3))
+        assert np.array_equal(_stratified_unit(n, 3, seed=5), plain)
+
+
+def test_mc_ratio_is_hit_quotient_of_the_stratified_sample(rng):
+    corpus = corpus_of(rng.normal(size=(30, 3)))
+    res = permissible_set(conv_spec(), corpus)
+    lo, hi = res.generable.polytope.bounding_box()
+    pts = lo + _stratified_unit(5000, 3, seed=9) * (hi - lo)
+    in_g = res.generable.contains_batch(pts)
+    in_p = res.permissible.contains_batch(pts)
+    mc = permissible_ratio(conv_spec(), corpus, method="mc", mc_samples=5000, mc_seed=9)
+    assert mc == np.count_nonzero(in_p & in_g) / np.count_nonzero(in_g)
+
+
+def test_mc_ratio_error_is_below_binomial_error():
+    # z = (mc - exact) / binomial standard error over the generable hits; plain
+    # uniform samples give an RMS z near 1 (0.87 on these 20 corpora)
+    dist = parse_distribution("gauss:d=3")
+    z = []
+    for seed in range(20):
+        corpus = Corpus.from_array(sample_points(dist, 200, seed), dim=3)
+        exact = permissible_ratio(conv_spec(), corpus)
+        mc = permissible_ratio(conv_spec(), corpus, method="mc", mc_samples=100_000, mc_seed=seed)
+        hull = generate(conv_spec(), corpus).polytope
+        lo, hi = hull.bounding_box()
+        hits = 100_000 * volume(hull) / np.prod(hi - lo)
+        z.append((mc - exact) / np.sqrt(exact * (1.0 - exact) / hits))
+    assert np.sqrt(np.mean(np.square(z))) < 0.7
 
 
 # -- summaries and CSV output ---------------------------------------------------------

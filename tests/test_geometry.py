@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,6 +221,56 @@ def test_contains_batch_matches_scalar(rng):
     assert 0 < np.count_nonzero(expected) < len(expected)
     assert np.array_equal(grid.contains_batch(grid_probes), expected)
     assert not FiniteGrid(3, ((0.0,), (), (1.0,))).contains_batch(grid_probes).any()
+
+
+def _halfspaces(rng, n_facets: int) -> Polytope:
+    # unit normals with offsets near 1: points of norm below about 1 are inside
+    normals = rng.normal(size=(n_facets, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return Polytope(3, np.zeros((1, 3)), normals, rng.uniform(0.9, 1.1, n_facets), 3)
+
+
+# blocks hold 2**18 // facets rows: 1 row from 2**17 + 1 facets on
+@pytest.mark.parametrize("n_facets", [1, 6, 173, 2**17, 2**17 + 1, 2**18 + 1])
+def test_contains_batch_matches_residual_test_across_block_boundaries(rng, n_facets):
+    poly = _halfspaces(rng, n_facets)
+    step = max(1, 2**18 // n_facets)
+    for m in sorted({0, 1, step - 1, step, step + 1, 2 * step + 1}):
+        pts = rng.normal(scale=0.7, size=(m, 3))
+        expected = (pts @ poly.normals.T - poly.offsets <= TOL_GEOM).all(axis=1)
+        got = poly.contains_batch(pts)
+        assert got.shape == (m,) and got.dtype == bool
+        assert np.array_equal(got, expected)
+        if m > 100:
+            assert 0 < np.count_nonzero(got) < m
+
+
+def test_contains_batch_edge_cases(rng):
+    pts = rng.normal(size=(5, 3))
+    whole_space = Polytope(3, np.zeros((1, 3)), np.empty((0, 3)), np.empty(0), 3)
+    assert whole_space.contains_batch(pts).all()
+    assert not Polytope.empty(3).contains_batch(pts).any()
+    cube = Polytope.box([0.0] * 3, [1.0] * 3)
+    assert cube.contains_batch(np.empty((0, 3))).shape == (0,)
+    assert cube.contains_batch([0.5, 0.5, 0.5]).tolist() == [True]
+    near_faces = [[0.5, np.nan, 0.5], [1.0, 1.0, 1.0 + 0.5 * TOL_GEOM], [1.0, 1.0, 1.0 + 2 * TOL_GEOM]]
+    assert cube.contains_batch(near_faces).tolist() == [False, True, False]
+
+
+def test_contains_batch_memory_is_bounded(rng):
+    sphere = rng.normal(size=(150, 3))
+    poly = convex_hull(corpus_of(sphere / np.linalg.norm(sphere, axis=1, keepdims=True)))
+    assert len(poly.offsets) > 200
+    pts = rng.uniform(-1.0, 1.0, size=(100_000, 3))
+    tracemalloc.start()
+    try:
+        inside = poly.contains_batch(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < np.count_nonzero(inside) < len(pts)
+    # one residual per point and facet would be 100,000 x facets x 8 B > 160 MB
+    assert peak < 8 * 2**20
 
 
 # -- halfspace intersection ----------------------------------------------------

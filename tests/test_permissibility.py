@@ -390,6 +390,39 @@ def test_groupwise_matches_leave_set_out_definition(rng):
             assert _near_region_boundary(out, q)
 
 
+def _box_groupwise_by_lp(corpus, collection):
+    images = [generate(box_spec(), corpus.without_many(g.items)) for g in collection]
+    return halfspace_intersection([im.polytope for im in images])
+
+
+def test_box_groupwise_matches_halfspace_intersection(rng, monkeypatch):
+    # box images intersect coordinatewise, without the intersection's LPs
+    def no_lp(polytopes):
+        raise AssertionError("halfspace_intersection called for box images")
+
+    monkeypatch.setattr(permissibility, "halfspace_intersection", no_lp)
+    for _ in range(12):
+        n = int(rng.integers(3, 8))
+        d = int(rng.integers(1, 4))
+        corpus = corpus_of(rng.uniform(-1, 1, size=(n, d)))
+        groups = [rng.choice(n, size=int(rng.integers(1, n)), replace=False) for _ in range(3)]
+        collection = Collection.from_indices(corpus, groups)
+        out = groupwise_permissible(box_spec(), corpus, collection)
+        assert isinstance(out, ConvexRegion)
+        assert out.polytope.equals(_box_groupwise_by_lp(corpus, collection))
+    # the two images touch along the edge x = 1: a segment
+    corpus = corpus_of([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+    collection = Collection.from_indices(corpus, [[0], [2]])
+    out = groupwise_permissible(box_spec(), corpus, collection)
+    assert out.polytope.affine_dim == 1
+    assert out.polytope.equals(_box_groupwise_by_lp(corpus, collection))
+    # the two images are disjoint
+    corpus = corpus_of([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    collection = Collection.from_indices(corpus, [[0, 1], [2, 3]])
+    assert groupwise_permissible(box_spec(), corpus, collection).is_empty
+    assert _box_groupwise_by_lp(corpus, collection).is_empty
+
+
 def test_collection_validation():
     corpus = corpus_of([[0.0], [1.0]])
     with pytest.raises(ProtectedSetNotInCorpus):
