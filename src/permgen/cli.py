@@ -211,13 +211,22 @@ def _raster(gen_set, perm_set, resolution: int) -> dict:
     hi = hi + 0.05 * span
     xs = np.linspace(lo[0], hi[0], resolution)
     ys = np.linspace(lo[1], hi[1], resolution)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    in_gen = np.flatnonzero(gen_set.contains_batch(pts))
-    status = np.full(len(pts), "not_generable", dtype=object)
-    status[in_gen] = VIOLATION
-    # the permissible set is tested only on generable cells
-    status[in_gen[perm_set.contains_batch(pts[in_gen])]] = PERMISSIBLE
+    status = np.full(resolution * resolution, "not_generable", dtype=object)
+    if isinstance(gen_set, FiniteGrid):
+        # grid points almost never lie on raster points: each marks its nearest
+        # cell, which is permissible only if all of its grid points are
+        grid = gen_set.points()
+        ij = np.rint((grid - lo) / ((hi - lo) / (resolution - 1))).astype(int)
+        cells = ij[:, 1] * resolution + ij[:, 0]
+        status[cells] = PERMISSIBLE
+        status[cells[~perm_set.contains_batch(grid)]] = VIOLATION
+    else:
+        gx, gy = np.meshgrid(xs, ys)
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        in_gen = np.flatnonzero(gen_set.contains_batch(pts))
+        status[in_gen] = VIOLATION
+        # the permissible set is tested only on generable cells
+        status[in_gen[perm_set.contains_batch(pts[in_gen])]] = PERMISSIBLE
     return {
         "xs": list(xs.tolist()),
         "ys": list(ys.tolist()),

@@ -6,6 +6,9 @@ g(C \\ {c}) over all items c; a generable point outside some leave-one-out
 image is a violation and the items whose removal excludes it are the works
 it infringes. For hull-valued generators only the removal of extreme points
 can shrink the image, which keeps the intersection cheap on large corpora.
+Each leave-one-out hull is built from the convex layers: with V the hull
+vertices and L2 the vertices of the hull of the other rows,
+hull(C \\ {v}) = hull((V \\ {v}) | L2) exactly, for every v in V.
 """
 from __future__ import annotations
 
@@ -86,17 +89,26 @@ def _conv_loo_hulls(arr: np.ndarray, full: Polytope) -> dict[int, Polytope]:
     """Leave-one-out hulls of an (n, d) corpus array, keyed by row.
 
     Only removing an extreme row can shrink the hull, so there is one entry
-    per vertex of ``full`` (the hull of ``arr``), in vertex order; each hull
-    is built from ``arr`` without that row.
+    per vertex of ``full`` (the hull of ``arr``), in vertex order. With V
+    those vertices and L2 the vertices of the hull of the other rows (the
+    second convex layer), hull(C \\ {v}) = hull((V \\ {v}) | L2) exactly,
+    since every row outside V lies in hull(L2); each hull is built from
+    |V| - 1 + |L2| rows, not n - 1. Nothing is kept between calls.
     """
     d = arr.shape[1]
-    return {i: Polytope.from_points(np.delete(arr, i, 0), dim=d) for i in _vertex_rows(arr, full)}
+    rows = _vertex_rows(arr, full)
+    inner = np.ones(len(arr), dtype=bool)
+    inner[rows] = False
+    layer2 = Polytope.from_points(arr.compress(inner, axis=0), dim=d)
+    # rows in corpus order, as in arr without the row, so Qhull sees them the same way
+    keep = np.sort(rows + _vertex_rows(arr, layer2))
+    return {i: Polytope.from_points(arr[keep[keep != i]], dim=d) for i in rows}
 
 
-def _vertex_rows(arr: np.ndarray, full: Polytope) -> list[int]:
-    """Row of ``arr`` holding each vertex of its hull ``full``, in vertex order."""
+def _vertex_rows(arr: np.ndarray, hull: Polytope) -> list[int]:
+    """Row of ``arr`` holding each vertex of ``hull`` (a hull of its rows), in vertex order."""
     # corpus rows are distinct and every vertex is one of them
-    return (arr == full.vertex_array[:, None, :]).all(axis=2).argmax(axis=1).tolist()
+    return (arr == hull.vertex_array[:, None, :]).all(axis=2).argmax(axis=1).tolist()
 
 
 def conv_permissible_polytope(corpus: Corpus, full: Polytope | None = None) -> Polytope:

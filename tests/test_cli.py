@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from permgen import Corpus, parse_generator, permissible_set
+from permgen import Corpus, classify, parse_generator, permissible_set, splice_spec
 from permgen.cli import main
 
 
@@ -113,6 +113,46 @@ def test_analyze_raster_statuses_match_the_sets(tmp_path, capsys, generator):
             assert status == expected
             seen.add(status)
     assert {"not_generable", "violation"} <= seen
+
+
+def _splice_raster(tmp_path, capsys, rows):
+    path = tmp_path / "grid.csv"
+    path.write_text("".join(f"{x},{y}\n" for x, y in rows))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--generator", "splice", "--grid-res", "32")
+    assert code == 0
+    raster = json.loads(out)["plot"]["raster"]
+    cells = {
+        (x, y): status
+        for y, row in zip(raster["ys"], raster["status"])
+        for x, status in zip(raster["xs"], row)
+        if status != "not_generable"
+    }
+    return raster, cells
+
+
+def _nearest_cell(raster, point):
+    axes = (raster["xs"], raster["ys"])
+    return tuple(min(axis, key=lambda v: abs(v - c)) for axis, c in zip(axes, point))
+
+
+def test_analyze_raster_marks_the_cells_of_splice_grid_points(tmp_path, capsys):
+    # 11 integer points whose values all repeat: a 4 x 4 grid, all permissible
+    rows = [[0, 0], [1, 1], [2, 2], [3, 3], [0, 1], [1, 2], [2, 3], [3, 0], [0, 2], [1, 3], [2, 0]]
+    raster, cells = _splice_raster(tmp_path, capsys, rows)
+    assert len(cells) == 16
+    assert set(cells.values()) == {"permissible"}
+    assert set(cells) == {_nearest_cell(raster, (x, y)) for x in range(4) for y in range(4)}
+
+
+def test_analyze_raster_splice_statuses_match_classify(tmp_path, capsys):
+    rows = [[0, 0], [1, 1], [2, 2], [0, 1], [3, 5], [3, 1]]
+    raster, cells = _splice_raster(tmp_path, capsys, rows)
+    corpus = Corpus.from_array(np.array(rows, dtype=float))
+    grid = permissible_set(splice_spec(), corpus).generable.points()
+    assert len(cells) == len(grid) == 16
+    for p in grid:
+        assert cells[_nearest_cell(raster, p)] == classify(splice_spec(), corpus, p).status
+    assert set(cells.values()) == {"permissible", "violation"}
 
 
 def test_analyze_deterministic_output(triangle_file, capsys):

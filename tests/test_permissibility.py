@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,13 @@ from permgen import (
     FiniteGrid,
     InsufficientPoints,
     NotConvexValued,
+    Polytope,
     ProtectedSetNotInCorpus,
     add_creation_effect,
     box_spec,
     classify,
     conv_spec,
+    convex_hull,
     generable_set_included,
     generable_sets_equal,
     generate,
@@ -144,6 +148,124 @@ def test_near_empty_intersection_raises_typed_error():
     corpus = corpus_of([[0.0, 0.0], [0.0, 1.15e-7], [1.0, 0.0]])
     with pytest.raises(DegenerateSystem):
         permissible_set(conv_spec(), corpus)
+
+
+# -- leave-one-out hulls from the convex layers ----------------------------------
+
+
+def _loo_hulls_by_deletion(arr, full):
+    # the reference construction: each hull from all n - 1 other rows
+    rows = permissibility._vertex_rows(arr, full)
+    return {i: Polytope.from_points(np.delete(arr, i, 0), dim=arr.shape[1]) for i in rows}
+
+
+def _layered_corpora():
+    rng = np.random.default_rng(11)
+
+    def simplex(d):
+        return np.vstack([np.zeros(d), np.eye(d)])
+
+    def with_centroid(pts):
+        return np.vstack([pts, pts.mean(axis=0)])
+
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    cube = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
+    sphere = rng.normal(size=(12, 3))
+    plane = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, -0.5]])  # a tilted plane through the origin
+    return {
+        "1d pair": np.array([[0.0], [1.0]]),
+        "1d one inner": np.array([[0.0], [1.0], [0.25]]),
+        "1d gauss": rng.normal(size=(30, 1)),
+        "2d polygon, no inner rows": regular_polygon(7),
+        "3d sphere, no inner rows": sphere / np.linalg.norm(sphere, axis=1, keepdims=True),
+        "4d simplex, no inner rows": simplex(4),
+        "2d one inner": with_centroid(simplex(2)),
+        "3d one inner": with_centroid(simplex(3)),
+        "4d one inner": with_centroid(simplex(4)),
+        "2d collinear inner": np.vstack([square, [[0.2, 0.5], [0.4, 0.5], [0.7, 0.5]]]),
+        "3d collinear inner": np.vstack([cube, [[t, 0.3, 0.6] for t in (0.2, 0.5, 0.8)]]),
+        "3d coplanar inner": np.vstack([cube, np.column_stack([rng.uniform(0.1, 0.9, (5, 2)), np.full(5, 0.5)])]),
+        "2d two inner": np.vstack([square, [[0.3, 0.4], [0.6, 0.7]]]),
+        "3d two inner": np.vstack([cube, [[0.3, 0.3, 0.3], [0.6, 0.5, 0.4]]]),
+        "4d three inner": np.vstack([simplex(4), [[0.1, 0.1, 0.1, 0.1], [0.2, 0.1, 0.1, 0.3], [0.1, 0.3, 0.2, 0.1]]]),
+        "2d integer grid": np.array(list(itertools.product(range(4), repeat=2)), dtype=float),
+        "3d integer grid": np.array(list(itertools.product(range(3), repeat=3)), dtype=float),
+        "4d integer grid": np.array(list(itertools.product(range(3), repeat=4)), dtype=float),
+        "2d flat (segment)": np.outer(rng.uniform(-1, 1, 9), [2.0, 1.0]),
+        "3d flat (plane)": rng.uniform(-1, 1, (15, 2)) @ plane,
+        "4d flat (plane)": rng.uniform(-1, 1, (12, 2)) @ np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, -1.0]]),
+        "2d gauss": rng.normal(size=(40, 2)),
+        "3d gauss": rng.normal(size=(40, 3)),
+        "4d gauss": rng.normal(size=(30, 4)),
+        "2d scale 1e10": 1e10 * rng.normal(size=(30, 2)),
+        "3d scale 1e10": 1e10 * rng.normal(size=(30, 3)),
+    }
+
+
+_LAYERED = _layered_corpora()
+
+
+def _probes(pts):
+    # outside the hull, near a vertex (a thousandth of the way from the
+    # lexicographically largest row to the centroid) and deep inside
+    centroid = pts.mean(axis=0)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    vertex = pts[np.lexsort(pts.T[::-1])[-1]]
+    near = vertex + 1e-3 * (centroid - vertex)
+    return np.array([hi + 0.5 * (hi - lo), near, centroid])
+
+
+@pytest.mark.parametrize("name", list(_LAYERED))
+def test_conv_loo_hulls_match_deletion_hulls(name):
+    arr = corpus_of(_LAYERED[name]).to_array()
+    full = Polytope.from_points(arr, dim=arr.shape[1])
+    got = permissibility._conv_loo_hulls(arr, full)
+    expected = _loo_hulls_by_deletion(arr, full)
+    assert list(got) == list(expected)
+    for i, hull in expected.items():
+        assert got[i].equals(hull), (name, i)
+
+
+@pytest.mark.parametrize("name", list(_LAYERED))
+def test_conv_permissible_and_classify_on_layered_corpora(name):
+    pts = _LAYERED[name]
+    corpus = corpus_of(pts)
+    scale = float(np.abs(pts).max())
+    res = permissible_set(conv_spec(), corpus)
+    hulls = _loo_hulls_by_deletion(corpus.to_array(), res.generable.polytope)
+    assert res.permissible.polytope.equals(halfspace_intersection(list(hulls.values())), 1e-7 * scale)
+    # the oracles' LPs use absolute tolerances: ask them about the corpus scaled to unit size
+    unit = pts / scale
+    for q in _probes(pts):
+        expected = oracle_permissible("conv", unit, q / scale)
+        if res.permissible.contains(q) != expected:
+            assert _near_region_boundary(res.permissible, q, 1e-7 * scale)
+        verdict = classify(conv_spec(), corpus, q)
+        if not oracle_in_hull(unit, q / scale):
+            assert verdict.status == NOT_GENERABLE
+            continue
+        infringed = [
+            tuple(p) for i, p in enumerate(pts) if not oracle_in_hull(np.delete(unit, i, 0), q / scale)
+        ]
+        assert [c.coords for c in verdict.infringed] == infringed
+        assert verdict.status == (VIOLATION if infringed else PERMISSIBLE)
+
+
+def test_loo_hulls_get_the_other_vertices_and_the_second_layer(monkeypatch, rng):
+    corpus = corpus_of(rng.normal(size=(2000, 3)))
+    arr = corpus.to_array()
+    full = convex_hull(corpus)
+    rows = permissibility._vertex_rows(arr, full)
+    layer2 = Polytope.from_points(np.delete(arr, rows, 0), dim=3)
+    sizes = []
+    real = Polytope.from_points
+    monkeypatch.setattr(
+        Polytope, "from_points", lambda points, dim=None: sizes.append(len(points)) or real(points, dim=dim)
+    )
+    permissibility.conv_permissible_polytope(corpus, full)
+    # the second layer, one hull per vertex, then the intersection's vertices
+    assert sizes[: len(rows) + 1] == [2000 - len(rows)] + [len(rows) - 1 + len(layer2.vertex_array)] * len(rows)
+    assert len(sizes) == len(rows) + 2
 
 
 # -- cross-validation against the definitional oracle ----------------------------
