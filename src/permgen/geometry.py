@@ -2,6 +2,8 @@
 the rest of the package is built on (hulls, halfspace intersections,
 membership, volumes, support functions, Radon partitions). Hulls, vertex
 enumeration and volumes are Qhull's; feasibility questions are HiGHS LPs.
+scipy, which provides both, is imported at the first Qhull or HiGHS call, so
+code that never makes one (the one-dimensional paths) never loads it.
 
 Every polytope carries both a minimal vertex representation and a halfspace
 representation with unit-length normals, so a halfspace residual is a signed
@@ -18,10 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull as _QhullConvexHull
-from scipy.spatial import HalfspaceIntersection as _QhullHalfspaceIntersection
-from scipy.spatial import QhullError
 
 from .errors import (
     DegenerateSystem,
@@ -250,7 +248,23 @@ def _affine_rank(P: np.ndarray):
     return o, Vt[:rank].T, Vt[rank:].T
 
 
-def _qhull(points: np.ndarray) -> _QhullConvexHull:
+# Qhull's two entry points, importing scipy on first use. Every Qhull call in
+# this module goes through these names, which perfbench/tracer.py patches.
+def _QhullConvexHull(points, **options):
+    from scipy.spatial import ConvexHull
+
+    return ConvexHull(points, **options)
+
+
+def _QhullHalfspaceIntersection(halfspaces, interior, **options):
+    from scipy.spatial import HalfspaceIntersection
+
+    return HalfspaceIntersection(halfspaces, interior, **options)
+
+
+def _qhull(points: np.ndarray):
+    from scipy.spatial import QhullError
+
     try:
         return _QhullConvexHull(points)
     except QhullError:
@@ -502,6 +516,8 @@ def halfspace_intersection(polytopes) -> Polytope:
 
 
 def _chebyshev_center(A: np.ndarray, b: np.ndarray, dim: int):
+    from scipy.optimize import linprog
+
     c = np.zeros(dim + 1)
     c[-1] = -1.0
     A_ub = np.hstack([A, np.ones((len(A), 1))])
@@ -534,6 +550,8 @@ def _hsi_vertices(A: np.ndarray, b: np.ndarray, dim: int):
     if radius > _FULL_DIM_RADIUS:
         return _hsi_full_dim(A, b, center)
     # flat (or nearly flat) feasible set: peel off implicit equalities
+    from scipy.optimize import linprog
+
     eq_rows = []
     for i in range(len(A)):
         res = linprog(A[i], A_ub=A, b_ub=b, bounds=[(None, None)] * dim, method="highs")
@@ -572,6 +590,8 @@ def _hsi_vertices(A: np.ndarray, b: np.ndarray, dim: int):
 
 
 def _hsi_full_dim(A: np.ndarray, b: np.ndarray, interior: np.ndarray):
+    from scipy.spatial import QhullError
+
     hs = np.hstack([A, -b[:, None]])
     try:
         hsi = _QhullHalfspaceIntersection(hs, interior)

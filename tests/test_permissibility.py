@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull as ScipyConvexHull
+from scipy.spatial import QhullError
 
 from permgen import (
     Collection,
@@ -27,15 +29,17 @@ from permgen import (
     generate,
     groupwise_permissible,
     halfspace_intersection,
+    parse_distribution,
     parse_generator,
     permissible_set,
     radon_nonemptiness_witness,
     richness_compare,
+    sample_points,
     splice_spec,
     superadditivity_check,
     volume,
 )
-from permgen import permissibility
+from permgen import geometry, permissibility
 from permgen.permissibility import NOT_GENERABLE, PERMISSIBLE, VIOLATION
 
 from conftest import corpus_of, oracle_in_hull, oracle_permissible, regular_polygon
@@ -148,6 +152,48 @@ def test_near_empty_intersection_raises_typed_error():
     corpus = corpus_of([[0.0, 0.0], [0.0, 1.15e-7], [1.0, 0.0]])
     with pytest.raises(DegenerateSystem):
         permissible_set(conv_spec(), corpus)
+
+
+def _record_qhull(monkeypatch, attr):
+    """Wrap one of geometry's Qhull entry points; returns (options, outcome) per call."""
+    calls = []
+    real = getattr(geometry, attr)
+
+    def spy(*args, **options):
+        try:
+            out = real(*args, **options)
+        except QhullError:
+            calls.append((options.get("qhull_options"), "raised"))
+            raise
+        calls.append((options.get("qhull_options"), "ok"))
+        return out
+
+    monkeypatch.setattr(geometry, attr, spy)
+    return calls
+
+
+def test_joggled_retries_give_the_permissible_polytope(monkeypatch):
+    # The leave-one-out intersection of these 800 Gaussian points in d = 4
+    # makes plain Qhull fail twice: on the halfspace intersection, then on
+    # the hull of its vertices. Both retry with QJ and the result still
+    # classifies clear probes as the leave-one-out hulls do.
+    arr = sample_points(parse_distribution("gauss:d=4"), 800, seed=9)
+    hull_calls = _record_qhull(monkeypatch, "_QhullConvexHull")
+    hsi_calls = _record_qhull(monkeypatch, "_QhullHalfspaceIntersection")
+    perm = permissibility.conv_permissible_polytope(Corpus.from_array(arr))
+    for calls in (hull_calls, hsi_calls):
+        i = calls.index((None, "raised"))
+        assert calls[i + 1] == ("QJ", "ok")
+    assert not perm.is_empty and not perm.has_zero_volume
+    # reference: Qhull's hull of the corpus without each of its vertices
+    eqs = np.vstack([ScipyConvexHull(np.delete(arr, i, 0)).equations for i in ScipyConvexHull(arr).vertices])
+    probes = np.random.default_rng(0).normal(scale=1.3, size=(400, 4))
+    residual = (probes @ eqs[:, :-1].T + eqs[:, -1]).max(axis=1)
+    clear = np.abs(residual) > 1e-6
+    assert clear.sum() > 300
+    expected = residual[clear] < 0
+    assert 0 < expected.sum() < clear.sum()
+    assert np.array_equal(perm.contains_batch(probes[clear]), expected)
 
 
 # -- leave-one-out hulls from the convex layers ----------------------------------
