@@ -25,6 +25,7 @@ from .geometry import (
     Corpus,
     Creation,
     Polytope,
+    _point_array,
     convex_hull,
     tol_buckets,
 )
@@ -160,10 +161,7 @@ class FiniteGrid:
         return math.prod(len(vs) for vs in self.value_sets)
 
     def contains(self, point, tol: float = TOL_GEOM) -> bool:
-        x = np.atleast_1d(np.asarray(point if not isinstance(point, Creation) else point.coords, dtype=float))
-        if x.shape[0] != self.dim:
-            raise DimensionMismatch(f"point has dimension {x.shape[0]}, expected {self.dim}")
-        return bool(self.contains_batch(x[None, :], tol)[0])
+        return bool(self.contains_batch(_point_array(point, self.dim)[None, :], tol)[0])
 
     def contains_batch(self, points: np.ndarray, tol: float = TOL_GEOM) -> np.ndarray:
         """Vectorized membership test for an (m, d) array of points."""
@@ -210,12 +208,11 @@ def empty_generable_set(spec: GeneratorSpec, dim: int) -> GenerableSet:
 
 
 def _coordinate_value_sets(arr: np.ndarray) -> tuple[tuple[float, ...], ...]:
-    # distinct after rounding at TOL_GEOM, per coordinate
-    sets = []
-    for k in range(arr.shape[1]):
-        firsts = tol_buckets(arr[:, [k]])
-        sets.append(tuple(sorted(float(arr[i, k]) for i in firsts)))
-    return tuple(sets)
+    # per coordinate, the first value of each TOL_GEOM bucket (as tol_buckets
+    # keeps it); buckets come out in key order, which is value order
+    return tuple(
+        tuple(col[np.unique(np.round(col / TOL_GEOM), return_index=True)[1]].tolist()) for col in arr.T
+    )
 
 
 def _splice_grid(corpus_array: np.ndarray, dim: int) -> FiniteGrid:
@@ -287,9 +284,7 @@ def is_member(spec: GeneratorSpec, corpus: Corpus, point, tol: float = TOL_GEOM)
     """
     if len(corpus) == 0:
         raise EmptyCorpus("membership in the image of an empty corpus")
-    x = np.atleast_1d(np.asarray(point if not isinstance(point, Creation) else point.coords, dtype=float))
-    if x.shape[0] != corpus.dim:
-        raise DimensionMismatch(f"point has dimension {x.shape[0]}, expected {corpus.dim}")
+    x = _point_array(point, corpus.dim)
     if spec.kind == CONV:
         if corpus.dim <= 3:
             return convex_hull(corpus).contains(x, tol)
@@ -349,23 +344,21 @@ def check_closure_axioms(
 
     ``superset`` must contain ``corpus``; ``probe_points`` is a sequence of
     candidate points used for the monotonicity check (membership under the
-    corpus must imply membership under the superset).
+    corpus must imply membership under the superset). Each image is built
+    once and all of its points are tested in one batch, so a superset whose
+    recombination grid exceeds GRID_LIMIT raises GridExplosion.
     """
     for c in corpus:
         if c not in superset:
             raise ValueError("corpus must be contained in superset")
-    preservation = all(is_member(spec, corpus, c, tol) for c in corpus)
-    monotone = True
-    for p in probe_points:
-        if is_member(spec, corpus, p, tol) and not is_member(spec, superset, p, tol):
-            monotone = False
-            break
-    idem = _check_idempotence(spec, corpus, tol)
-    return AxiomReport(preservation, monotone, idem)
-
-
-def _check_idempotence(spec: GeneratorSpec, corpus: Corpus, tol: float) -> bool:
-    return _regenerates(spec, generate(spec, corpus), tol)
+    image = generate(spec, corpus)
+    probes = np.array([_point_array(p, corpus.dim) for p in probe_points]).reshape(-1, corpus.dim)
+    inside = probes[image.contains_batch(probes, tol)]
+    return AxiomReport(
+        bool(image.contains_batch(corpus.to_array(), tol).all()),
+        bool(generate(spec, superset).contains_batch(inside, tol).all()),
+        _regenerates(spec, image, tol),
+    )
 
 
 def _regenerates(spec: GeneratorSpec, result: GenerableSet, tol: float = TOL_GEOM) -> bool:
@@ -426,7 +419,8 @@ def check_convex_valued(
         if not image_convex:
             witness = _off_grid_witness(result)
 
-    probe = _hull_probe_corpus(corpus, samples)
+    hull_poly = convex_hull(corpus)
+    probe = _hull_probe_corpus(corpus, hull_poly, samples)
     regen = generate(spec, probe)
     if isinstance(result, ConvexRegion):
         image_of_hull = isinstance(regen, ConvexRegion) and regen.polytope.equals(
@@ -435,16 +429,12 @@ def check_convex_valued(
     else:
         image_of_hull = isinstance(regen, FiniteGrid) and regen.equals(result, 1e-9)
 
-    hull_poly = convex_hull(corpus)
-    probe_arr = probe.to_array()
-    hull_contained = all(is_member(spec, corpus, row, tol) for row in hull_poly.vertex_array)
-    if hull_contained:
-        hull_contained = all(is_member(spec, corpus, row, tol) for row in probe_arr)
+    # the probe corpus holds every corpus row and every hull vertex
+    hull_contained = bool(result.contains_batch(probe.to_array(), tol).all())
     return ConvexValuedReport(image_convex, hull_of_image, image_of_hull, hull_contained, witness)
 
 
-def _hull_probe_corpus(corpus: Corpus, samples: int) -> Corpus:
-    hull_poly = convex_hull(corpus)
+def _hull_probe_corpus(corpus: Corpus, hull_poly: Polytope, samples: int) -> Corpus:
     arr = corpus.to_array()
     pts = [row for row in arr]
     pts.extend(row for row in hull_poly.vertex_array)

@@ -85,6 +85,14 @@ class Creation:
         return f"Creation({', '.join(repr(v) for v in self.coords)})"
 
 
+def _point_array(value, dim: int) -> np.ndarray:
+    """A point, given as a Creation or an array-like of coordinates, as a float vector of length dim."""
+    x = np.atleast_1d(np.asarray(value.coords if isinstance(value, Creation) else value, dtype=float))
+    if x.shape[0] != dim:
+        raise DimensionMismatch(f"point has dimension {x.shape[0]}, expected {dim}")
+    return x
+
+
 def _as_creation(value, dim: int | None = None) -> Creation:
     c = value if isinstance(value, Creation) else Creation(tuple(np.atleast_1d(value)))
     if dim is not None and c.dim != dim:
@@ -404,7 +412,9 @@ class Polytope:
         return self.vertex_array.min(axis=0), self.vertex_array.max(axis=0)
 
     def membership(self, point, tol: float = TOL_GEOM) -> Location:
-        x = _as_creation(point, self.dim).array
+        x = _point_array(point, self.dim)
+        if not np.isfinite(x).all():
+            raise ValueError(f"non-finite coordinate in {x.tolist()!r}")
         if self.is_empty:
             return Location.OUTSIDE
         res = self.normals @ x - self.offsets
@@ -552,8 +562,13 @@ def _hsi_vertices(A: np.ndarray, b: np.ndarray, dim: int):
     # flat (or nearly flat) feasible set: peel off implicit equalities
     from scipy.optimize import linprog
 
+    # a row with slack above _EQ_SLACK at a feasible point (the centre, or an
+    # earlier LP's optimum) is no implicit equality and needs no LP of its own
     eq_rows = []
+    settled = b - A @ center > _EQ_SLACK
     for i in range(len(A)):
+        if settled[i]:
+            continue
         res = linprog(A[i], A_ub=A, b_ub=b, bounds=[(None, None)] * dim, method="highs")
         if res.status == 3:
             continue
@@ -561,6 +576,7 @@ def _hsi_vertices(A: np.ndarray, b: np.ndarray, dim: int):
             continue
         if res.fun >= b[i] - _EQ_SLACK:
             eq_rows.append(i)
+        settled |= b - A @ res.x > _EQ_SLACK
     if not eq_rows:
         # thin but genuinely full-dimensional
         return _hsi_full_dim(A, b, center)

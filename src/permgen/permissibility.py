@@ -85,24 +85,28 @@ def _leave_one_out(spec: GeneratorSpec, corpus: Corpus, c: Creation) -> Generabl
     return generate(spec, rest)
 
 
-def _conv_loo_hulls(arr: np.ndarray, full: Polytope) -> dict[int, Polytope]:
-    """Leave-one-out hulls of an (n, d) corpus array, keyed by row.
+def _conv_loo_rows(arr: np.ndarray, full: Polytope) -> tuple[list[int], np.ndarray]:
+    """Rows of the vertices of ``full`` (the hull of an (n, d) corpus array),
+    in vertex order, and the sorted rows of V | L2.
 
-    Only removing an extreme row can shrink the hull, so there is one entry
-    per vertex of ``full`` (the hull of ``arr``), in vertex order. With V
-    those vertices and L2 the vertices of the hull of the other rows (the
-    second convex layer), hull(C \\ {v}) = hull((V \\ {v}) | L2) exactly,
-    since every row outside V lies in hull(L2); each hull is built from
+    Only removing an extreme row can shrink the hull. With V those vertices
+    and L2 the vertices of the hull of the other rows (the second convex
+    layer), hull(C \\ {v}) = hull((V \\ {v}) | L2) exactly, since every row
+    outside V lies in hull(L2); so each leave-one-out hull, or LP, needs
     |V| - 1 + |L2| rows, not n - 1. Nothing is kept between calls.
     """
-    d = arr.shape[1]
     rows = _vertex_rows(arr, full)
     inner = np.ones(len(arr), dtype=bool)
     inner[rows] = False
-    layer2 = Polytope.from_points(arr.compress(inner, axis=0), dim=d)
+    layer2 = Polytope.from_points(arr.compress(inner, axis=0), dim=arr.shape[1])
     # rows in corpus order, as in arr without the row, so Qhull sees them the same way
-    keep = np.sort(rows + _vertex_rows(arr, layer2))
-    return {i: Polytope.from_points(arr[keep[keep != i]], dim=d) for i in rows}
+    return rows, np.sort(rows + _vertex_rows(arr, layer2))
+
+
+def _conv_loo_hulls(arr: np.ndarray, full: Polytope) -> dict[int, Polytope]:
+    """Leave-one-out hulls of an (n, d) corpus array, one per vertex row of ``full``."""
+    rows, keep = _conv_loo_rows(arr, full)
+    return {i: Polytope.from_points(arr[keep[keep != i]], dim=arr.shape[1]) for i in rows}
 
 
 def _vertex_rows(arr: np.ndarray, hull: Polytope) -> list[int]:
@@ -236,9 +240,8 @@ def _conv_infringed_rows(corpus: Corpus, point, tol: float) -> list[int] | None:
         return sorted(i for i, hull in loo.items() if not hull.contains(x, tol))
     if not _in_hull_lp(arr, x, tol):
         return None
-    return sorted(
-        i for i in _vertex_rows(arr, full) if len(arr) == 1 or not _in_hull_lp(np.delete(arr, i, 0), x, tol)
-    )
+    rows, keep = _conv_loo_rows(arr, full)
+    return sorted(i for i in rows if len(arr) == 1 or not _in_hull_lp(arr[keep[keep != i]], x, tol))
 
 
 def generable_sets_equal(a: GenerableSet, b: GenerableSet, tol: float = 1e-7) -> bool:
@@ -251,8 +254,6 @@ def generable_set_included(a: GenerableSet, b: GenerableSet, tol: float = 1e-7) 
         return True
     if b.is_empty:
         return False
-    if isinstance(a, ConvexRegion) and isinstance(b, ConvexRegion):
-        return all(b.polytope.contains(v, tol) for v in a.polytope.vertex_array)
     if isinstance(a, FiniteGrid) and isinstance(b, FiniteGrid):
         for k in range(a.dim):
             other = np.asarray(b.value_sets[k])
@@ -260,9 +261,10 @@ def generable_set_included(a: GenerableSet, b: GenerableSet, tol: float = 1e-7) 
                 if np.abs(other - v).min() > tol:
                     return False
         return True
-    if isinstance(a, FiniteGrid):
-        return all(b.contains(p, tol) for p in a.points())
-    return False
+    if isinstance(b, FiniteGrid):
+        return False
+    rows = a.polytope.vertex_array if isinstance(a, ConvexRegion) else a.points()
+    return bool(b.contains_batch(rows, tol).all())
 
 
 @dataclass(frozen=True)
@@ -425,10 +427,13 @@ def superadditivity_check(
     """Violations against {A, B} are violations against {A union B}.
 
     Verified contrapositively: every point permissible under the merged
-    protection must be permissible under the pairwise protection. The check
-    runs on the exact extreme points of the merged-protection set plus
-    sampled points of the generable region; a strict witness (permissible
-    pairwise but not merged) is reported when one exists.
+    protection must be permissible under the pairwise protection, which is
+    decided exactly by ``generable_set_included``. Strictness is hunted on
+    the vertices of the pairwise set plus ``samples`` random convex
+    combinations of them (or its first ``samples`` grid points); the first
+    candidate permissible pairwise but not merged is the witness, and
+    ``points_checked`` is its 1-based index, or the number of candidates
+    when there is none.
     """
     _check_nonempty(corpus)
     for item in set_a:
@@ -440,23 +445,16 @@ def superadditivity_check(
     inclusion = generable_set_included(merged, pair)
 
     # hunt for strictness: in the pairwise set but not in the merged one
-    rng = np.random.Generator(np.random.Philox(seed))
-    candidates: list[np.ndarray] = []
+    P = np.empty((0, corpus.dim))
     if isinstance(pair, ConvexRegion) and not pair.is_empty:
-        candidates.extend(pair.polytope.vertex_array)
-        if len(pair.polytope.vertex_array) >= 2:
-            V = pair.polytope.vertex_array
-            w = rng.random((samples, len(V)))
+        P = pair.polytope.vertex_array
+        if len(P) >= 2:
+            w = np.random.Generator(np.random.Philox(seed)).random((samples, len(P)))
             w /= w.sum(axis=1, keepdims=True)
-            candidates.extend(w @ V)
-    elif isinstance(pair, FiniteGrid) and not pair.is_empty:
-        pts = pair.points()
-        candidates.extend(pts[: min(len(pts), samples)])
-    witness = None
-    checked = 0
-    for x in candidates:
-        checked += 1
-        if pair.contains(x) and not merged.contains(x):
-            witness = Creation(tuple(np.asarray(x, dtype=float)))
-            break
-    return SuperadditivityReport(bool(inclusion), witness, checked)
+            P = np.vstack([P, w @ P])
+    elif isinstance(pair, FiniteGrid):
+        P = pair.points()[:samples]
+    strict = np.flatnonzero(pair.contains_batch(P) & ~merged.contains_batch(P))
+    if not len(strict):
+        return SuperadditivityReport(bool(inclusion), None, len(P))
+    return SuperadditivityReport(bool(inclusion), Creation(tuple(P[strict[0]])), int(strict[0]) + 1)

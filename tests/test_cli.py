@@ -321,6 +321,30 @@ def test_props_passes_and_prints(capsys):
     assert "properties passed" in out
 
 
+_LAWS = [
+    *(f"axioms/{g}/{law}" for g in ("conv", "splice", "box") for law in ("preservation", "monotonicity", "idempotence")),
+    "permissibility/monotone-growth",
+    "permissibility/stability",
+    "permissibility/insertion-trichotomy",
+    "permissibility/classify-consistency",
+    "radon/witness-permissible",
+    "groupwise/monotone-growth",
+    "groupwise/stability",
+    "groupwise/richness-inclusion",
+    "groupwise/superadditivity",
+    "convexity/hull-minimality",
+    "convexity/box-characterizations",
+    "convexity/hull-characterizations",
+    "convexity/recombination-witness",
+]
+
+
+def test_props_all_prints_every_law_and_trial(capsys):
+    code, out, _ = run_cli(capsys, "props", "all", "--trials", "10", "--seed", "1")
+    assert code == 0
+    assert out.splitlines() == [f"PASS {law}  trials=10 failures=0" for law in _LAWS] + ["22/22 properties passed"]
+
+
 def test_props_zero_trials_exit_2(capsys):
     code, _, _ = run_cli(capsys, "props", "axioms", "--trials", "0")
     assert code == 2

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permgen import (
+    TOL_GEOM,
+    AxiomReport,
     ConvexRegion,
     Corpus,
     Creation,
+    DimensionMismatch,
     EmptyCorpus,
     FiniteGrid,
     GridExplosion,
@@ -16,6 +19,7 @@ from permgen import (
     check_convex_valued,
     check_homogeneity,
     conv_spec,
+    convex_hull,
     convex_valued,
     generate,
     is_member,
@@ -24,6 +28,9 @@ from permgen import (
     splice_spec,
     volume,
 )
+
+from permgen.generators import _coordinate_value_sets, _hull_probe_corpus, _regenerates
+from permgen.geometry import tol_buckets
 
 from conftest import corpus_of, oracle_in_box, oracle_in_hull, oracle_in_splice
 
@@ -238,3 +245,125 @@ def test_homogeneity_of_base_generators(rng):
         for spec in (conv_spec(), splice_spec(), box_spec()):
             assert check_homogeneity(spec, corpus, 0.7)
             assert check_homogeneity(spec, corpus, 1.3)
+
+
+# -- batched law checks against the per-point is_member loops ----------------------
+
+
+def _axioms_by_point(spec, corpus, superset, probes, tol):
+    """check_closure_axioms as one is_member call per point, kept as the oracle."""
+    preservation = all(is_member(spec, corpus, c, tol) for c in corpus)
+    monotone = all(not is_member(spec, corpus, p, tol) or is_member(spec, superset, p, tol) for p in probes)
+    return AxiomReport(preservation, monotone, _regenerates(spec, generate(spec, corpus), tol))
+
+
+def _convex_valued_by_point(spec, corpus, samples=8, tol=TOL_GEOM):
+    """check_convex_valued's hull_contained as one is_member call per point."""
+    hull = convex_hull(corpus)
+    probe = _hull_probe_corpus(corpus, hull, samples).to_array()
+    return all(is_member(spec, corpus, row, tol) for row in np.vstack([hull.vertex_array, probe]))
+
+
+_LAW_SPECS = ["conv", "box", "splice", "conv|splice", "box|splice"]
+
+
+def _law_cases(rng):
+    """Random corpora in d = 1-4 with supersets and probes outside the image,
+    on its boundary and inside, plus a thin triangle whose residual-expanded
+    hull pokes out of its superset's (monotonicity fails at tol 0.05)."""
+    for k in range(40):
+        d = 1 + k % 4
+        n = int(rng.integers(1, 7 if d < 4 else 5))
+        pts = np.unique(np.round(rng.uniform(-1, 1, size=(n, d)), 2), axis=0)
+        corpus = corpus_of(pts)
+        superset = corpus
+        for row in np.round(rng.uniform(-1.5, 1.5, size=(int(rng.integers(0, 3)), d)), 2):
+            if Creation(tuple(row)) not in superset:
+                superset = superset.add(Creation(tuple(row)))
+        a, b = pts[rng.integers(len(pts), size=2)]
+        w = rng.random(len(pts))
+        probes = [
+            pts[0], (a + b) / 2, w @ pts / w.sum(), pts.mean(axis=0),
+            pts.max(axis=0) + 1e-3, rng.uniform(-2, 2, size=d),
+            np.array([pts[rng.integers(len(pts)), j] for j in range(d)]),
+        ]
+        yield corpus, superset, probes
+    thin = corpus_of([[0.0, 0.0], [10.0, 0.0], [10.0, 0.1]])
+    yield thin, thin.add(Creation((0.0, 1.0))), [np.array([-5.0, 0.0]), np.array([5.0, 0.02])]
+
+
+def test_closure_axioms_match_the_per_point_loop(rng):
+    seen = set()
+    for corpus, superset, probes in _law_cases(rng):
+        for label in _LAW_SPECS:
+            spec = parse_generator(label)
+            # the LP that is_member uses for conv above d = 3 ignores tolerances below 1e-9
+            # and measures L1 distance, so it answers as the hull does only at the default
+            tols = [TOL_GEOM] if label == "conv" and corpus.dim > 3 else [TOL_GEOM, -1e-3, 0.05]
+            for tol in tols:
+                got = check_closure_axioms(spec, corpus, superset, probes, tol)
+                assert got == _axioms_by_point(spec, corpus, superset, probes, tol), (label, corpus.to_array(), tol)
+                seen.add((got.preservation, got.monotonicity))
+            report = check_convex_valued(spec, corpus)
+            assert report.hull_contained == _convex_valued_by_point(spec, corpus), (label, corpus.to_array())
+            assert check_convex_valued(spec, corpus, tol=-1e-3).hull_contained == _convex_valued_by_point(
+                spec, corpus, tol=-1e-3
+            ) or (label == "conv" and corpus.dim > 3)
+    # the comparisons saw each law both hold and fail
+    assert {(True, True), (False, True), (True, False)} <= seen
+
+
+def test_closure_axioms_on_a_four_dimensional_hull_run_no_lp(monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    real = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k))
+    rng = np.random.default_rng(3)
+    corpus = corpus_of(rng.normal(size=(12, 4)))
+    superset = corpus.add(Creation((3.0, 0.0, 0.0, 0.0)))
+    probes = list(rng.normal(size=(5, 4))) + [corpus.to_array().mean(axis=0)]
+    assert check_closure_axioms(conv_spec(), corpus, superset, probes).all_hold
+    assert calls == []
+
+
+def test_closure_axioms_raise_grid_explosion_for_a_large_superset_grid():
+    # the corpus's grid is 81 points, the superset's 33**4 > GRID_LIMIT
+    rng = np.random.default_rng(8)
+    corpus = corpus_of(rng.normal(size=(3, 4)))
+    superset = corpus
+    for row in rng.normal(size=(30, 4)):
+        superset = superset.add(Creation(tuple(row)))
+    with pytest.raises(GridExplosion):
+        check_closure_axioms(splice_spec(), corpus, superset, [])
+    assert check_closure_axioms(box_spec(), corpus, superset, []).all_hold
+
+
+def test_closure_axioms_reject_probes_of_the_wrong_dimension():
+    corpus = corpus_of([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for probes in ([np.array([0.2, 0.2]), np.array([0.2])], [[0.1, 0.1, 0.1]], [Creation((0.5,))]):
+        for spec in (conv_spec(), splice_spec(), box_spec()):
+            with pytest.raises(DimensionMismatch):
+                check_closure_axioms(spec, corpus, corpus, probes)
+
+
+def _value_sets_by_bucket(arr):
+    """_coordinate_value_sets through tol_buckets, kept as the oracle."""
+    return tuple(
+        tuple(sorted(float(arr[i, k]) for i in tol_buckets(arr[:, [k]]))) for k in range(arr.shape[1])
+    )
+
+
+def test_coordinate_value_sets_match_tol_buckets(rng):
+    near = 0.3 + np.array([0.0, 0.4, 0.6, 0.9, 1.4, 2.5, -0.49, -0.51]) * TOL_GEOM
+    columns = [
+        near,
+        np.array([0.0, -0.0, 1e-10, -1e-10, 0.0, 5e-10, -5e-10, 2e-9]),
+        np.array([1e10, 1e10 + 1e-6, -3e12, 2e15, 1e10, -3e12 * (1 + 1e-16), 9.3e18, 1e17]),
+        rng.integers(-3, 4, size=8).astype(float),
+    ]
+    for arr in (np.column_stack(columns), rng.normal(size=(50, 3)), np.round(rng.normal(size=(400, 2)), 1)):
+        got = _coordinate_value_sets(arr)
+        want = _value_sets_by_bucket(arr)
+        assert got == want
+        assert all(np.signbit(g).tolist() == np.signbit(w).tolist() for g, w in zip(got, want))

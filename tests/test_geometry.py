@@ -27,7 +27,8 @@ from permgen import (
     support,
     volume,
 )
-from permgen.errors import InsufficientPoints
+from permgen import geometry, permissibility
+from permgen.errors import DegenerateSystem, InsufficientPoints
 
 from conftest import corpus_of, oracle_in_hull, oracle_in_splice, regular_polygon
 
@@ -498,3 +499,155 @@ def test_radon_partition_sides_disjoint_within_corpus(points):
     assert a and b
     assert not a & b
     assert (a | b) <= {tuple(map(float, p)) for p in points}
+
+
+def test_membership_takes_creations_and_array_likes_alike(monkeypatch):
+    square = Polytope.box([0.0, 0.0], [1.0, 1.0])
+    cases = {(0.5, 0.5): Location.INSIDE, (1.0, 0.5): Location.BOUNDARY, (1.5, 0.5): Location.OUTSIDE}
+    made = []
+    real_init = Creation.__post_init__
+    monkeypatch.setattr(Creation, "__post_init__", lambda self: made.append(1) or real_init(self))
+    for point, where in cases.items():
+        for form in (list(point), point, np.array(point)):
+            assert square.membership(form) is where
+    assert made == []  # array-likes build no Creation
+    for point, where in cases.items():
+        assert square.membership(Creation(point)) is where
+    assert Polytope.empty(2).membership([0.5, 0.5]) is Location.OUTSIDE
+    for bad_dim in ([0.5], [0.5, 0.5, 0.5], Creation((0.5,)), 0.5):
+        with pytest.raises(DimensionMismatch):
+            square.membership(bad_dim)
+    for bad in ([0.5, np.nan], (np.inf, 0.5), np.array([-np.inf, 0.0])):
+        with pytest.raises(ValueError):
+            square.membership(bad)
+        with pytest.raises(ValueError):
+            Polytope.empty(2).membership(bad)
+
+
+# -- the flat branch of halfspace_intersection against the per-row LP loop -------
+
+
+def _flat_oracle(flat_entries):
+    """``geometry._hsi_vertices`` with one implicit-equality LP per row in its
+    flat branch, kept as the oracle; each entry into that branch appends to
+    ``flat_entries``."""
+    from scipy.optimize import linprog
+
+    one_dim = geometry._hsi_vertices
+
+    def hsi_vertices(A, b, dim):
+        if dim == 1:
+            return one_dim(A, b, dim)
+        found = geometry._chebyshev_center(A, b, dim)
+        if found is None:
+            return None
+        center, radius = found
+        if radius > geometry._FULL_DIM_RADIUS:
+            return geometry._hsi_full_dim(A, b, center)
+        flat_entries.append(len(A))
+        eq_rows = []
+        for i in range(len(A)):
+            res = linprog(A[i], A_ub=A, b_ub=b, bounds=[(None, None)] * dim, method="highs")
+            if res.success and res.fun >= b[i] - geometry._EQ_SLACK:
+                eq_rows.append(i)
+        if not eq_rows:
+            return geometry._hsi_full_dim(A, b, center)
+        E, e = A[eq_rows], b[eq_rows]
+        x0, *_ = np.linalg.lstsq(E, e, rcond=None)
+        _, s, Vt = np.linalg.svd(E, full_matrices=True)
+        rank = int(np.sum(s > TOL_GEOM * max(1.0, float(s[0]))))
+        if rank >= dim:
+            return x0.reshape(1, dim)
+        B = Vt[rank:].T
+        A_sub, b_sub = A @ B, b - A @ x0
+        norms = np.linalg.norm(A_sub, axis=1)
+        flatrows = norms <= TOL_GEOM
+        if np.any(b_sub[flatrows] < -geometry._EQ_SLACK):
+            return None
+        A_sub = A_sub[~flatrows] / norms[~flatrows, None]
+        b_sub = b_sub[~flatrows] / norms[~flatrows]
+        if len(A_sub) == 0:
+            raise DegenerateSystem("unbounded flat in intersection")
+        sub = hsi_vertices(A_sub, b_sub, B.shape[1])
+        return None if sub is None else x0 + sub @ B.T
+
+    return hsi_vertices
+
+
+def _outcome(polys, oracle=None):
+    """The intersection's vertex array, None when empty, or the error type raised."""
+    with pytest.MonkeyPatch.context() as mp:
+        if oracle is not None:
+            mp.setattr(geometry, "_hsi_vertices", oracle)
+        try:
+            inter = halfspace_intersection(polys)
+        except DegenerateSystem as exc:
+            return type(exc)
+    return None if inter.is_empty else inter
+
+
+def _flat_cases(rng):
+    """Intersections that are mostly flat: leave-one-out hulls of 2-8 points,
+    on integer grids or in general position, and integer boxes sharing a face,
+    an edge or a corner."""
+    cases = []
+    for k in range(120):
+        d = 2 + k % 2
+        n = int(rng.integers(2, 9))
+        pts = rng.integers(0, 3, size=(n, d)).astype(float) if k % 4 < 3 else rng.normal(size=(n, d))
+        pts = np.unique(pts, axis=0)
+        if len(pts) >= 2:
+            cases.append([Polytope.from_points(np.delete(pts, i, 0), dim=d) for i in range(len(pts))])
+    for k in range(200):
+        d = 2 + k % 2
+        lo = rng.integers(0, 3, size=d).astype(float)
+        hi = lo + rng.integers(1, 3, size=d)
+        touch = rng.random(d) < 0.5
+        touch[rng.integers(d)] = True
+        lo2 = np.where(touch, hi, lo + rng.integers(0, 2, size=d))
+        hi2 = lo2 + rng.integers(1, 3, size=d)
+        cases.append([Polytope.box(lo, hi), Polytope.box(lo2, hi2)])
+    # the near-flat inputs of ROADMAP D4, as permissible_set intersects them
+    for rows in ([[0.0, 0.0], [0.0, 5.96e-8], [-1.0, 0.0]], [[0.0, 0.0], [0.0, 1.15e-7], [1.0, 0.0]]):
+        pts = np.array(rows)
+        cases.append(list(permissibility._conv_loo_hulls(pts, Polytope.from_points(pts)).values()))
+    return cases
+
+
+def test_flat_intersections_match_the_per_row_lp_loop(rng):
+    flat_entries = []
+    oracle = _flat_oracle(flat_entries)
+    cases = _flat_cases(rng)
+    for polys in cases:
+        got, want = _outcome(polys), _outcome(polys, oracle=oracle)
+        if isinstance(want, Polytope):
+            assert isinstance(got, Polytope), (polys, got)
+            assert got.affine_dim == want.affine_dim
+            assert np.array_equal(got.vertex_array, want.vertex_array)
+        else:
+            assert got == want
+    assert len(flat_entries) >= 200
+
+
+def test_flat_branch_skips_rows_a_feasible_point_settles(monkeypatch):
+    # two unit cubes sharing the face x = 1: eight distinct rows, of which
+    # x <= 1 and -x <= -1 are the only implicit equalities
+    import scipy.optimize
+
+    cubes = [Polytope.box([0.0] * 3, [1.0] * 3), Polytope.box([1.0, 0.0, 0.0], [2.0, 1.0, 1.0])]
+    calls = []
+    real = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k))
+    face = halfspace_intersection(cubes)
+    assert face.affine_dim == 2
+    assert {tuple(v) for v in np.round(face.vertex_array, 9)} == {
+        (1.0, y, z) for y in (0.0, 1.0) for z in (0.0, 1.0)
+    }
+    top = len(calls)
+    calls.clear()
+    oracle = _flat_oracle([])
+    monkeypatch.setattr(geometry, "_hsi_vertices", oracle)
+    halfspace_intersection(cubes)
+    # a Chebyshev LP for the cubes and one for the face, plus one LP per row:
+    # for all 8 rows in the old loop, for the 3 no feasible point settled now
+    assert (top, len(calls)) == (5, 10)

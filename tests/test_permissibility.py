@@ -40,6 +40,7 @@ from permgen import (
     volume,
 )
 from permgen import geometry, permissibility
+from permgen.generators import _in_hull_lp
 from permgen.permissibility import NOT_GENERABLE, PERMISSIBLE, VIOLATION
 
 from conftest import corpus_of, oracle_in_hull, oracle_permissible, regular_polygon
@@ -658,3 +659,119 @@ def test_growth_never_shrinks_permissible(points, extra):
         before = permissible_set(spec, corpus).permissible
         after = permissible_set(spec, corpus.add(c)).permissible
         assert generable_set_included(before, after, 1e-7)
+
+
+# -- batched checks against their per-point loops ----------------------------------------
+
+
+def _included_by_point(a, b, tol=1e-7):
+    """generable_set_included with one contains call per point, kept as the oracle."""
+    if a.is_empty:
+        return True
+    if b.is_empty:
+        return False
+    if isinstance(a, FiniteGrid) and isinstance(b, FiniteGrid):
+        return all(
+            np.abs(np.asarray(b.value_sets[k]) - v).min() <= tol for k in range(a.dim) for v in a.value_sets[k]
+        )
+    if isinstance(b, FiniteGrid):
+        return False
+    rows = a.polytope.vertex_array if isinstance(a, ConvexRegion) else a.points()
+    return all(b.contains(p, tol) for p in rows)
+
+
+def _strict_witness_by_point(spec, corpus, set_a, set_b, samples, seed):
+    """superadditivity_check's hunt for a strict witness, one candidate at a time."""
+    pair = groupwise_permissible(spec, corpus, Collection((set_a, set_b)))
+    union = Corpus(set_a.items + set_b.items, dim=corpus.dim)
+    merged = groupwise_permissible(spec, corpus, Collection((union,)))
+    rng = np.random.Generator(np.random.Philox(seed))
+    candidates = []
+    if isinstance(pair, ConvexRegion) and not pair.is_empty:
+        V = pair.polytope.vertex_array
+        candidates.extend(V)
+        if len(V) >= 2:
+            w = rng.random((samples, len(V)))
+            w /= w.sum(axis=1, keepdims=True)
+            candidates.extend(w @ V)
+    elif isinstance(pair, FiniteGrid) and not pair.is_empty:
+        candidates.extend(pair.points()[:samples])
+    for checked, x in enumerate(candidates, 1):
+        if pair.contains(x) and not merged.contains(x):
+            return Creation(tuple(x)), checked, pair, merged
+    return None, len(candidates), pair, merged
+
+
+def test_superadditivity_matches_the_per_candidate_loop(rng):
+    square = corpus_of([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    cases = [(conv_spec(), square, [0], [1])]
+    for k in range(45):
+        d = 1 + k % 3
+        n = int(rng.integers(4, 9))
+        pts = np.round(rng.uniform(-1, 1, size=(n, d)), 1 if k % 2 else 6)
+        corpus = corpus_of(np.unique(pts, axis=0))
+        picks = rng.permutation(len(corpus))
+        half = int(rng.integers(1, len(corpus) // 2 + 1))
+        spec = (conv_spec(), box_spec(), splice_spec())[k % 3 if d < 3 else k % 2]
+        cases.append((spec, corpus, picks[:half], picks[half : half + int(rng.integers(1, 3))]))
+    witnesses = 0
+    for spec, corpus, ia, ib in cases:
+        set_a = Corpus(corpus.to_array()[np.sort(ia)], dim=corpus.dim)
+        set_b = Corpus(corpus.to_array()[np.sort(ib)], dim=corpus.dim)
+        report = superadditivity_check(spec, corpus, set_a, set_b, samples=64, seed=3)
+        witness, checked, pair, merged = _strict_witness_by_point(spec, corpus, set_a, set_b, 64, 3)
+        assert report.strict_witness == witness, (spec, corpus.to_array(), ia, ib)
+        assert report.points_checked == checked
+        assert report.inclusion_holds == _included_by_point(merged, pair) is True
+        assert generable_set_included(pair, merged) == _included_by_point(pair, merged)
+        witnesses += witness is not None
+    assert 0 < witnesses < len(cases)
+
+
+def _infringed_by_deletion(corpus, x, tol=1e-9):
+    """Above d = 3: one LP on the n - 1 rows left by each hull vertex, kept as the oracle."""
+    arr = corpus.to_array()
+    if not _in_hull_lp(arr, x, tol):
+        return None
+    rows = permissibility._vertex_rows(arr, convex_hull(corpus))
+    return sorted(i for i in rows if len(arr) == 1 or not _in_hull_lp(np.delete(arr, i, 0), x, tol))
+
+
+def _high_dim_corpora(rng):
+    grid4 = np.array(list(itertools.product((0.0, 1.0, 2.0), repeat=4)))
+    cube5 = np.array(list(itertools.product((0.0, 1.0), repeat=5)))
+    return {
+        "4d gauss": rng.normal(size=(60, 4)),
+        "5d gauss": rng.normal(size=(40, 5)),
+        "4d flat (3-space)": np.column_stack([rng.normal(size=(25, 3)), np.zeros(25)]) @ _rotation(rng, 4),
+        "5d flat (plane)": rng.uniform(-1, 1, (14, 2)) @ rng.normal(size=(2, 5)),
+        "4d integer grid": grid4,
+        "5d cube and inner points": np.vstack([cube5, 0.25 + 0.5 * rng.random((10, 5))]),
+    }
+
+
+def _rotation(rng, d):
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return q
+
+
+def test_conv_classify_above_three_dims_matches_deletion_lps(monkeypatch, rng):
+    rows_per_lp = []
+    real = permissibility._in_hull_lp
+    monkeypatch.setattr(permissibility, "_in_hull_lp", lambda P, x, tol: rows_per_lp.append(len(P)) or real(P, x, tol))
+    infringements = 0
+    for name, pts in _high_dim_corpora(rng).items():
+        corpus = corpus_of(pts)
+        V = convex_hull(corpus).vertex_array
+        centroid = pts.mean(axis=0)
+        probes = [v + 1e-3 * (centroid - v) for v in V[:2]]
+        probes += [(V[0] + V[1]) / 2, centroid, pts.max(axis=0) + 1.0, 0.6 * V[2] + 0.4 * centroid]
+        for q in probes:
+            rows_per_lp.clear()
+            got = permissibility._conv_infringed_rows(corpus, q, 1e-9)
+            assert got == _infringed_by_deletion(corpus, q), (name, q)
+            infringements += bool(got)
+            if got is not None and name == "4d gauss":
+                # the membership LP gets all n rows, each leave-one-out LP |V| - 1 + |L2|
+                assert rows_per_lp[0] == len(pts) and max(rows_per_lp[1:]) < len(pts) - 1
+    assert infringements >= 6
