@@ -237,8 +237,8 @@ def _raster(gen_set, perm_set, resolution: int) -> dict:
 def _set_bounds(gen_set) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(gen_set, ConvexRegion):
         return gen_set.polytope.bounding_box()
-    pts = gen_set.points()
-    return pts.min(axis=0), pts.max(axis=0)
+    # value sets are sorted
+    return np.array([vs[0] for vs in gen_set.value_sets]), np.array([vs[-1] for vs in gen_set.value_sets])
 
 
 # -- subcommands ---------------------------------------------------------------

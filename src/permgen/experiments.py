@@ -266,12 +266,12 @@ def summarize(trajectories) -> list[StatRow]:
     return rows
 
 
-def write_trajectories(path, trajectories, include_walltime: bool = False) -> None:
+def write_trajectories(path, trajectories) -> None:
     """Write the per-checkpoint trajectory table as CSV.
 
-    Wall times are instrumentation, not data: by default the column is
-    written as 0 so repeated runs with identical flags emit byte-identical
-    files. Floats carry 17 significant digits and round-trip exactly.
+    Wall times are instrumentation, not data: the column is written as 0 so
+    repeated runs with identical flags emit byte-identical files. Floats
+    carry 17 significant digits and round-trip exactly.
     """
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -288,7 +288,7 @@ def write_trajectories(path, trajectories, include_walltime: bool = False) -> No
                         _format_float(r.vol_permissible),
                         _format_float(r.ratio),
                         int(r.degenerate),
-                        _format_float(r.walltime_ms) if include_walltime else "0",
+                        "0",
                     ]
                 )
 

@@ -168,19 +168,17 @@ class FiniteGrid:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise DimensionMismatch(f"points have dimension {pts.shape[1]}, expected {self.dim}")
-        if self.is_empty:
-            return np.zeros(len(pts), dtype=bool)
         out = np.ones(len(pts), dtype=bool)
         for k, vs in enumerate(self.value_sets):
-            out &= np.abs(pts[:, [k]] - np.asarray(vs)).min(axis=1) <= tol
+            out &= _near_values(pts[:, k], vs, tol)
         return out
 
-    def points(self, limit: int = GRID_LIMIT) -> np.ndarray:
-        """Materialize the grid as an (m, d) array, guarded by ``limit``."""
+    def points(self) -> np.ndarray:
+        """Materialize the grid as an (m, d) array, guarded by GRID_LIMIT."""
         if self.is_empty:
             return np.empty((0, self.dim))
-        if self.cardinality > limit:
-            raise GridExplosion(f"grid holds {self.cardinality} points, limit is {limit}")
+        if self.cardinality > GRID_LIMIT:
+            raise GridExplosion(f"grid holds {self.cardinality} points, limit is {GRID_LIMIT}")
         mesh = np.meshgrid(*[np.asarray(vs) for vs in self.value_sets], indexing="ij")
         return np.column_stack([m.reshape(-1) for m in mesh])
 
@@ -197,6 +195,22 @@ class FiniteGrid:
         return True
 
 
+def _near_values(x: np.ndarray, values, tol: float) -> np.ndarray:
+    """Whether each entry of ``x`` lies within ``tol`` of one of ``values``.
+
+    A rounded difference x - v is monotone in v, so the nearest values below
+    and above x, found by binary search, decide as a test against every value
+    would; memory grows with the number of probes only. NaN reads as outside.
+    """
+    ref = np.sort(np.asarray(values, dtype=float))
+    if ref.size == 0:
+        return np.zeros(np.shape(x), dtype=bool)
+    i = np.searchsorted(ref, x)
+    below = np.abs(x - ref[np.maximum(i - 1, 0)])
+    above = np.abs(x - ref[np.minimum(i, len(ref) - 1)])
+    return np.minimum(below, above) <= tol
+
+
 GenerableSet = ConvexRegion | FiniteGrid
 
 
@@ -207,12 +221,15 @@ def empty_generable_set(spec: GeneratorSpec, dim: int) -> GenerableSet:
     return FiniteGrid(dim, tuple(() for _ in range(dim)))
 
 
-def _coordinate_value_sets(arr: np.ndarray) -> tuple[tuple[float, ...], ...]:
-    # per coordinate, the first value of each TOL_GEOM bucket (as tol_buckets
-    # keeps it); buckets come out in key order, which is value order
-    return tuple(
-        tuple(col[np.unique(np.round(col / TOL_GEOM), return_index=True)[1]].tolist()) for col in arr.T
-    )
+def _coordinate_value_sets(arr: np.ndarray, min_count: int = 1) -> tuple[tuple[float, ...], ...]:
+    """Per column of ``arr``, the first value of each TOL_GEOM bucket (as
+    tol_buckets keeps it) that holds at least ``min_count`` rows, in value
+    order: buckets come out in key order, which is value order."""
+    sets = []
+    for col in arr.T:
+        _, first, counts = np.unique(np.round(col / TOL_GEOM), return_index=True, return_counts=True)
+        sets.append(tuple(col[first[counts >= min_count]].tolist()))
+    return tuple(sets)
 
 
 def _splice_grid(corpus_array: np.ndarray, dim: int) -> FiniteGrid:
@@ -222,10 +239,6 @@ def _splice_grid(corpus_array: np.ndarray, dim: int) -> FiniteGrid:
             f"recombination grid holds {grid.cardinality} points, limit is {GRID_LIMIT}"
         )
     return grid
-
-
-def _box_polytope(corpus_array: np.ndarray) -> Polytope:
-    return Polytope.box(corpus_array.min(axis=0), corpus_array.max(axis=0))
 
 
 def generate(spec: GeneratorSpec, corpus: Corpus) -> GenerableSet:
@@ -245,7 +258,8 @@ def generate(spec: GeneratorSpec, corpus: Corpus) -> GenerableSet:
     if spec.kind == SPLICE:
         return _splice_grid(corpus.to_array(), corpus.dim)
     if spec.kind == BOX:
-        return ConvexRegion(_box_polytope(corpus.to_array()))
+        arr = corpus.to_array()
+        return ConvexRegion(Polytope.box(arr.min(axis=0), arr.max(axis=0)))
     # composed: apply stages right to left
     operand: Corpus | GenerableSet = corpus
     for stage in reversed(spec.stages):
@@ -278,16 +292,13 @@ def is_member(spec: GeneratorSpec, corpus: Corpus, point, tol: float = TOL_GEOM)
     """Closed membership of a point in generate(spec, corpus).
 
     Avoids building the full generable set where possible: box and
-    recombination answer from per-coordinate statistics; the hull answers
-    from its halfspaces in low dimension and from LP feasibility above
-    dimension 3.
+    recombination answer from per-coordinate statistics, and the hull above
+    dimension 3 from LP feasibility.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("membership in the image of an empty corpus")
     x = _point_array(point, corpus.dim)
-    if spec.kind == CONV:
-        if corpus.dim <= 3:
-            return convex_hull(corpus).contains(x, tol)
+    if spec.kind == CONV and corpus.dim > 3:
         return _in_hull_lp(corpus.to_array(), x, tol)
     if spec.kind == SPLICE:
         arr = corpus.to_array()
@@ -421,13 +432,8 @@ def check_convex_valued(
 
     hull_poly = convex_hull(corpus)
     probe = _hull_probe_corpus(corpus, hull_poly, samples)
-    regen = generate(spec, probe)
-    if isinstance(result, ConvexRegion):
-        image_of_hull = isinstance(regen, ConvexRegion) and regen.polytope.equals(
-            result.polytope, 1e-7
-        )
-    else:
-        image_of_hull = isinstance(regen, FiniteGrid) and regen.equals(result, 1e-9)
+    # regions compare at tolerance 1e-7 and grids at 1e-9, their defaults
+    image_of_hull = generate(spec, probe).equals(result)
 
     # the probe corpus holds every corpus row and every hull vertex
     hull_contained = bool(result.contains_batch(probe.to_array(), tol).all())
@@ -489,8 +495,4 @@ def check_homogeneity(
         tol = 1e-8 * max(1.0, alpha, alpha * scale)
     scaled = generate(spec, scale_corpus(corpus, alpha))
     direct = scale_generable_set(generate(spec, corpus), alpha)
-    if isinstance(scaled, ConvexRegion) and isinstance(direct, ConvexRegion):
-        return scaled.polytope.equals(direct.polytope, tol)
-    if isinstance(scaled, FiniteGrid) and isinstance(direct, FiniteGrid):
-        return scaled.equals(direct, tol)
-    return False
+    return scaled.equals(direct, tol)

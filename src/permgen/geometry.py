@@ -231,13 +231,9 @@ def tol_buckets(A: np.ndarray) -> dict[int, int]:
     the number of rows in the bucket. Keys are rounded floats, never cast to
     integers, so no coordinate is too large to key.
     """
-    keys = np.round(A / TOL_GEOM)
-    # one column keys on bare floats: building a 1-tuple per row tripled the
-    # cost of the splice value sets of large grids
-    rows = keys.ravel().tolist() if keys.shape[1] == 1 else map(tuple, keys.tolist())
     first: dict = {}
     counts: dict[int, int] = {}
-    for i, key in enumerate(rows):
+    for i, key in enumerate(map(tuple, np.round(A / TOL_GEOM).tolist())):
         j = first.setdefault(key, i)
         counts[j] = counts.get(j, 0) + 1
     return counts
@@ -327,7 +323,7 @@ class Polytope:
         o, B, N = _affine_rank(P)
         k = B.shape[1]
         if k == 0:
-            return cls._single_point(P[0])
+            return cls.box(P[0], P[0])
         if k == dim:
             hull = _qhull(P)
             verts = P[hull.vertices]
@@ -357,31 +353,33 @@ class Polytope:
 
     @classmethod
     def box(cls, lo, hi) -> "Polytope":
-        """Axis-aligned product of intervals [lo_k, hi_k]."""
+        """Axis-aligned product of intervals [lo_k, hi_k], built in closed form.
+
+        A side no wider than TOL_GEOM collapses onto lo_k, in the vertices and
+        in its pair of halfspaces alike, and does not count in ``affine_dim``.
+        """
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if lo.shape != hi.shape:
             raise DimensionMismatch("lo and hi must have the same length")
-        if np.any(hi < lo):
+        if (hi < lo).any():
             raise ValueError("box needs lo <= hi componentwise")
-        corners = np.array(list(itertools.product(*zip(lo, hi))), dtype=float)
-        return cls.from_points(corners, dim=len(lo))
+        if not np.isfinite([lo, hi]).all():
+            raise ValueError("non-finite coordinates")
+        wide = hi - lo > TOL_GEOM
+        hi = np.where(wide, hi, lo)
+        sides = ((l, h) if w else (l,) for l, h, w in zip(lo, hi, wide))
+        eye = np.eye(len(lo))
+        A, b = np.concatenate([eye, -eye]), np.concatenate([hi, -lo])
+        return cls(len(lo), list(itertools.product(*sides)), A, b, np.count_nonzero(wide))
 
     @classmethod
     def _interval(cls, P: np.ndarray) -> "Polytope":
         lo, hi = float(P.min()), float(P.max())
         if hi - lo <= TOL_GEOM:
-            return cls._single_point(np.array([lo]))
+            return cls.box([lo], [lo])
         verts = np.array([[lo], [hi]])
         return cls(1, verts, np.array([[1.0], [-1.0]]), np.array([hi, -lo]), 1)
-
-    @classmethod
-    def _single_point(cls, p: np.ndarray) -> "Polytope":
-        d = len(p)
-        eye = np.eye(d)
-        A = np.vstack([eye, -eye])
-        b = np.concatenate([p, -p])
-        return cls(d, p.reshape(1, d), A, b, 0)
 
     @classmethod
     def _normalized(cls, dim, verts, A, b, affine_dim) -> "Polytope":

@@ -31,7 +31,9 @@ from .generators import (
     FiniteGrid,
     GenerableSet,
     GeneratorSpec,
+    _coordinate_value_sets,
     _in_hull_lp,
+    _near_values,
     convex_valued,
     empty_generable_set,
     generate,
@@ -47,7 +49,6 @@ from .geometry import (
     convex_hull,
     halfspace_intersection,
     radon_partition,
-    tol_buckets,
 )
 
 PERMISSIBLE = "permissible"
@@ -140,14 +141,7 @@ def _box_or_empty(lo: np.ndarray, hi: np.ndarray) -> Polytope:
 
 def _splice_permissible_grid(corpus: Corpus) -> FiniteGrid:
     """Grid of coordinate values supplied by at least two corpus items."""
-    if len(corpus) <= 1:
-        return FiniteGrid(corpus.dim, tuple(() for _ in range(corpus.dim)))
-    arr = corpus.to_array()
-    sets = []
-    for k in range(corpus.dim):
-        kept = [float(arr[i, k]) for i, count in tol_buckets(arr[:, [k]]).items() if count >= 2]
-        sets.append(tuple(sorted(kept)))
-    return FiniteGrid(corpus.dim, tuple(sets))
+    return FiniteGrid(corpus.dim, _coordinate_value_sets(corpus.to_array(), 2))
 
 
 def _intersect_generable(sets: list[GenerableSet], spec: GeneratorSpec, dim: int) -> GenerableSet:
@@ -159,16 +153,12 @@ def _intersect_generable(sets: list[GenerableSet], spec: GeneratorSpec, dim: int
     if all(isinstance(s, ConvexRegion) for s in sets):
         return ConvexRegion(halfspace_intersection([s.polytope for s in sets]))
     # product grids intersect coordinatewise
-    grids = [s for s in sets if isinstance(s, FiniteGrid)]
     value_sets = []
     for k in range(dim):
-        current = list(grids[0].value_sets[k])
-        for g in grids[1:]:
-            other = np.asarray(g.value_sets[k])
-            current = [
-                v for v in current if other.size and np.abs(other - v).min() <= TOL_GEOM
-            ]
-        value_sets.append(tuple(current))
+        current = np.asarray(sets[0].value_sets[k])  # type: ignore[union-attr]
+        for g in sets[1:]:
+            current = current[_near_values(current, g.value_sets[k], TOL_GEOM)]  # type: ignore[union-attr]
+        value_sets.append(tuple(current.tolist()))
     return FiniteGrid(dim, tuple(value_sets))
 
 
@@ -255,12 +245,7 @@ def generable_set_included(a: GenerableSet, b: GenerableSet, tol: float = 1e-7) 
     if b.is_empty:
         return False
     if isinstance(a, FiniteGrid) and isinstance(b, FiniteGrid):
-        for k in range(a.dim):
-            other = np.asarray(b.value_sets[k])
-            for v in a.value_sets[k]:
-                if np.abs(other - v).min() > tol:
-                    return False
-        return True
+        return all(_near_values(np.asarray(va), vb, tol).all() for va, vb in zip(a.value_sets, b.value_sets))
     if isinstance(b, FiniteGrid):
         return False
     rows = a.polytope.vertex_array if isinstance(a, ConvexRegion) else a.points()

@@ -1,6 +1,9 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permgen import (
@@ -29,7 +32,7 @@ from permgen import (
     volume,
 )
 
-from permgen.generators import _coordinate_value_sets, _hull_probe_corpus, _regenerates
+from permgen.generators import _coordinate_value_sets, _hull_probe_corpus, _near_values, _regenerates
 from permgen.geometry import tol_buckets
 
 from conftest import corpus_of, oracle_in_box, oracle_in_hull, oracle_in_splice
@@ -181,6 +184,8 @@ coord = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False, allow_infini
     st.lists(st.tuples(coord, coord), min_size=1, max_size=8, unique=True),
     st.lists(st.tuples(coord, coord), min_size=0, max_size=3, unique=True),
 )
+# a box side 1.31e-9 wide, which a hull of the corners collapsed onto one line
+@example(points=[(0.0, 0.0)], extra=[(2.0, -1.3103369431021344e-09)])
 def test_axioms_hold_on_random_corpora(points, extra):
     corpus = corpus_of(points)
     superset = corpus
@@ -347,10 +352,12 @@ def test_closure_axioms_reject_probes_of_the_wrong_dimension():
                 check_closure_axioms(spec, corpus, corpus, probes)
 
 
-def _value_sets_by_bucket(arr):
-    """_coordinate_value_sets through tol_buckets, kept as the oracle."""
+def _value_sets_by_bucket(arr, min_count=1):
+    """_coordinate_value_sets through tol_buckets, kept as the oracle; with
+    min_count=2 it is the old per-column loop of the splice permissible grid."""
     return tuple(
-        tuple(sorted(float(arr[i, k]) for i in tol_buckets(arr[:, [k]]))) for k in range(arr.shape[1])
+        tuple(sorted(float(arr[i, k]) for i, count in tol_buckets(arr[:, [k]]).items() if count >= min_count))
+        for k in range(arr.shape[1])
     )
 
 
@@ -362,8 +369,59 @@ def test_coordinate_value_sets_match_tol_buckets(rng):
         np.array([1e10, 1e10 + 1e-6, -3e12, 2e15, 1e10, -3e12 * (1 + 1e-16), 9.3e18, 1e17]),
         rng.integers(-3, 4, size=8).astype(float),
     ]
-    for arr in (np.column_stack(columns), rng.normal(size=(50, 3)), np.round(rng.normal(size=(400, 2)), 1)):
-        got = _coordinate_value_sets(arr)
-        want = _value_sets_by_bucket(arr)
+    arrays = (
+        np.column_stack(columns),
+        rng.normal(size=(50, 3)),
+        np.round(rng.normal(size=(400, 2)), 1),
+        near[None, :3],
+    )
+    for arr, min_count in itertools.product(arrays, (1, 2)):
+        got = _coordinate_value_sets(arr, min_count)
+        want = _value_sets_by_bucket(arr, min_count)
         assert got == want
         assert all(np.signbit(g).tolist() == np.signbit(w).tolist() for g, w in zip(got, want))
+
+
+def _near_by_difference_array(x, values, tol):
+    """Grid nearness with one |x - v| per probe and value, kept as the oracle."""
+    if len(values) == 0:
+        return np.zeros(len(x), dtype=bool)
+    return np.abs(x[:, None] - np.asarray(values)[None, :]).min(axis=1) <= tol
+
+
+def test_grid_nearness_matches_the_difference_array(rng):
+    tol = TOL_GEOM
+    for values in ([0.0], [-2.5, 0.0, 0.3, 0.3 + 3 * tol, 7.0], [1e10, 1e10 + 1e-5, -3e12, 2e15], []):
+        ref = np.sort(np.asarray(values, dtype=float))
+        at_tol = np.concatenate([ref - tol, ref + tol, (ref - tol) - tol * 1e-3, (ref + tol) + tol * 1e-3])
+        probes = np.concatenate([at_tol, ref, [np.nan, -np.inf, np.inf, -1e11, 1e16], rng.normal(size=20)])
+        for x in (probes, probes[:0], probes[:1]):
+            # value sets in any order: the helper sorts them
+            for vs in (values, values[::-1]):
+                assert np.array_equal(_near_values(x, vs, tol), _near_by_difference_array(x, vs, tol))
+        if len(values) > 1:
+            assert 0 < np.count_nonzero(_near_values(probes, values, tol)) < len(probes)
+    # FiniteGrid.contains_batch is the same test per coordinate
+    grid = FiniteGrid(2, ((0.0, 0.5, 1.0), (-1e10, 3.0)))
+    pts = np.column_stack(
+        [rng.choice([0.0, 0.5 + tol, 1.0 - 2 * tol, np.nan], 200), rng.choice([-1e10, 3.0, 3.5], 200)]
+    )
+    want = _near_by_difference_array(pts[:, 0], grid.value_sets[0], tol)
+    want &= _near_by_difference_array(pts[:, 1], grid.value_sets[1], tol)
+    assert np.array_equal(grid.contains_batch(pts), want)
+
+
+def test_grid_contains_batch_memory_grows_with_the_probes_only(rng):
+    values = np.sort(rng.uniform(-1.0, 1.0, size=(2, 200)), axis=1)
+    grid = FiniteGrid(2, tuple(tuple(v.tolist()) for v in values))
+    pts = rng.uniform(-1.0, 1.0, size=(50_000, 2))
+    pts[::2] = values[:, rng.integers(0, 200, size=(25_000,))].T
+    tracemalloc.start()
+    try:
+        inside = grid.contains_batch(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(inside) == 25_000
+    # one difference per probe and value would be 50,000 x 200 x 8 B = 80 MB
+    assert peak < 8 * 2**20

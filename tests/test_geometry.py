@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -180,6 +181,36 @@ def test_interval_endpoints_are_exact_row_extremes():
     poly = convex_hull(corpus_of(rows))
     assert sorted(poly.vertex_array[:, 0]) == [0.0, 1.0]
     assert list(poly.offsets) == [1.0, 0.0]
+
+
+# side widths: zero, just below and just above TOL_GEOM (a hull of the corners
+# collapses a side narrower than about TOL_GEOM times the diameter), and wide
+_BOX_WIDTHS = (0.0, 5e-10, 1.31e-9, 1e-3, 1e10)
+
+
+def test_box_matches_its_definition(rng):
+    for _ in range(200):
+        d = int(rng.integers(1, 5))
+        width = rng.choice(_BOX_WIDTHS, size=d)
+        lo = rng.normal(scale=10.0, size=d)
+        hi = lo + width
+        box = Polytope.box(lo, hi)
+        corners = np.array(list(itertools.product(*zip(lo, hi))))
+        assert box.contains_batch(corners).all()
+        assert ((box.vertex_array >= lo) & (box.vertex_array <= hi)).all()
+        wide = int(np.count_nonzero(hi - lo > TOL_GEOM))
+        assert box.affine_dim == wide
+        assert len(np.unique(box.vertex_array, axis=0)) == len(box.vertex_array) == 2**wide
+        # the hull of the corners is exact only where no side is thin against the widest
+        if all(w == 0 or w >= 1e-6 * max(1.0, width.max()) for w in width):
+            assert box.equals(Polytope.from_points(corners, dim=d))
+    with pytest.raises(DimensionMismatch):
+        Polytope.box([0.0, 0.0], [1.0])
+    with pytest.raises(ValueError, match="lo <= hi"):
+        Polytope.box([0.0, 1.0], [1.0, 0.0])
+    for bad in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="non-finite"):
+            Polytope.box([0.0, 0.0], bad)
 
 
 def test_hull_empty_corpus_raises():

@@ -1,9 +1,9 @@
 """scipy is loaded by the first Qhull or HiGHS call, not by importing permgen.
 
 Each case runs in a fresh interpreter, because this test process has scipy
-loaded already. The one-dimensional paths make no such call, so they must
-finish without scipy; a d = 2 run must load it, which shows that the check
-can see a load.
+loaded already. The one-dimensional paths and the box paths make no such
+call, so they must finish without scipy; a d = 2 hull must load it, which
+shows that the check can see a load.
 """
 import json
 import os
@@ -60,6 +60,34 @@ def test_import_loads_no_scipy(tmp_path):
 )
 def test_one_dimensional_commands_load_no_scipy(tmp_path, argv):
     (tmp_path / "corpus.csv").write_text("x\n0.1\n0.5\n2.0\n3.5\n-1.0\n")
+    got = _run(tmp_path, *argv)
+    assert got["rc"] == 0
+    assert got["scipy"] == []
+
+
+# boxes and their permissible sets are built coordinatewise in every dimension
+@pytest.mark.parametrize(
+    "rows,argv",
+    [
+        (
+            "0,0\n1,2\n3,1\n2,4\n-1,1\n",
+            ["analyze", "corpus.csv", "--generator", "box", "--query", "1,1", "--add", "5,5"]
+            + ["--grid-res", "16"],
+        ),
+        (
+            "0,0,0\n1,2,0\n3,1,1\n2,4,2\n-1,1,3\n",
+            ["analyze", "corpus.csv", "--generator", "box", "--query", "1,1,1", "--add", "5,5,5"],
+        ),
+        (
+            "",
+            ["simulate", "gauss:d=3", "box", "--method", "mc", "--samples", "2000", "--nmax", "60"]
+            + ["--seeds", "2", "--out", "out"],
+        ),
+    ],
+    ids=["analyze-box-d2", "analyze-box-d3", "simulate-box-mc-d3"],
+)
+def test_box_commands_load_no_scipy(tmp_path, rows, argv):
+    (tmp_path / "corpus.csv").write_text(rows)
     got = _run(tmp_path, *argv)
     assert got["rc"] == 0
     assert got["scipy"] == []

@@ -8,6 +8,7 @@ from scipy.spatial import ConvexHull as ScipyConvexHull
 from scipy.spatial import QhullError
 
 from permgen import (
+    TOL_GEOM,
     Collection,
     ConvexRegion,
     Corpus,
@@ -592,6 +593,70 @@ def test_box_groupwise_matches_halfspace_intersection(rng, monkeypatch):
     assert _box_groupwise_by_lp(corpus, collection).is_empty
 
 
+def _half_step_corpora(rng, count):
+    """Corpora on a half-step lattice in d = 1-3, each coordinate offset by 0,
+    1e-10 (the same TOL_GEOM bucket) or 3e-9 (a value of its own)."""
+    for k in range(count):
+        d = 1 + k % 3
+        pts = rng.integers(0, 3, size=(int(rng.integers(3, 8)), d)) * 0.5
+        pts += rng.choice([0.0, 1e-10, 3e-9], size=pts.shape)
+        pts = np.unique(pts, axis=0)
+        if len(pts) >= 2:
+            yield corpus_of(pts)
+
+
+def _near_point(p, Q, tol):
+    return len(Q) > 0 and np.abs(Q - p).max(axis=1).min() <= tol
+
+
+def _intersection_as_point_set(images):
+    """Points of the first grid within TOL_GEOM of a point of every other grid."""
+    if any(im.is_empty for im in images):
+        return set()
+    others = [im.points() for im in images[1:]]
+    return {tuple(p) for p in images[0].points() if all(_near_point(p, Q, TOL_GEOM) for Q in others)}
+
+
+def test_splice_intersections_match_point_sets(rng):
+    splice_twice = parse_generator("splice|splice")
+    shrunk = 0
+    for corpus in _half_step_corpora(rng, 60):
+        n = len(corpus)
+        sizes = rng.integers(1, n, size=int(rng.integers(1, 4)))
+        groups = [rng.choice(n, size=int(size), replace=False) for size in sizes]
+        collection = Collection.from_indices(corpus, groups)
+        images = [generate(splice_spec(), corpus.without_many(g.items)) for g in collection]
+        got = groupwise_permissible(splice_spec(), corpus, collection)
+        assert isinstance(got, FiniteGrid)
+        assert set(map(tuple, got.points())) == _intersection_as_point_set(images)
+        shrunk += 0 < got.cardinality < images[0].cardinality
+        loo = [generate(splice_twice, corpus.without(c)) for c in corpus]
+        perm = permissible_set(splice_twice, corpus).permissible
+        assert set(map(tuple, perm.points())) == _intersection_as_point_set(loo)
+    assert shrunk > 0
+
+
+def test_grid_inclusion_matches_point_sets(rng):
+    answers = set()
+    for corpus in _half_step_corpora(rng, 60):
+        arr = corpus.to_array()
+        subsets = [arr[rng.random(len(arr)) < 0.6] for _ in range(2)]
+        if not all(len(sub) for sub in subsets):
+            continue
+        a, b = (generate(splice_spec(), corpus_of(sub)) for sub in subsets)
+        for tol in (TOL_GEOM, 1e-7):
+            want = all(_near_point(p, b.points(), tol) for p in a.points())
+            assert generable_set_included(a, b, tol) == want
+            answers.add(want)
+        # a region of positive dimension holds infinitely many points, a grid finitely many
+        region = generate(box_spec(), corpus)
+        assert region.polytope.affine_dim > 0
+        x = rng.dirichlet(np.ones(len(region.polytope.vertex_array))) @ region.polytope.vertex_array
+        assert region.contains(x) and not b.contains(x)
+        assert not generable_set_included(region, b)
+    assert answers == {True, False}
+
+
 def test_collection_validation():
     corpus = corpus_of([[0.0], [1.0]])
     with pytest.raises(ProtectedSetNotInCorpus):
@@ -714,7 +779,12 @@ def test_superadditivity_matches_the_per_candidate_loop(rng):
         half = int(rng.integers(1, len(corpus) // 2 + 1))
         spec = (conv_spec(), box_spec(), splice_spec())[k % 3 if d < 3 else k % 2]
         cases.append((spec, corpus, picks[:half], picks[half : half + int(rng.integers(1, 3))]))
+    for corpus in _half_step_corpora(rng, 15):
+        picks = rng.permutation(len(corpus))
+        half = int(rng.integers(1, len(corpus) // 2 + 1))
+        cases.append((splice_spec(), corpus, picks[:half], picks[half : half + 1]))
     witnesses = 0
+    grid_witnesses = 0
     for spec, corpus, ia, ib in cases:
         set_a = Corpus(corpus.to_array()[np.sort(ia)], dim=corpus.dim)
         set_b = Corpus(corpus.to_array()[np.sort(ib)], dim=corpus.dim)
@@ -725,7 +795,9 @@ def test_superadditivity_matches_the_per_candidate_loop(rng):
         assert report.inclusion_holds == _included_by_point(merged, pair) is True
         assert generable_set_included(pair, merged) == _included_by_point(pair, merged)
         witnesses += witness is not None
+        grid_witnesses += witness is not None and isinstance(pair, FiniteGrid)
     assert 0 < witnesses < len(cases)
+    assert grid_witnesses > 0
 
 
 def _infringed_by_deletion(corpus, x, tol=1e-9):
