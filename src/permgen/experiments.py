@@ -5,9 +5,9 @@ successive-maxima bound for heavy-tailed corpora.
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,8 +175,7 @@ def run_growth(
     return trajectories
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(NamedTuple):
     n: int
     bound: float
     ratio: float
@@ -189,38 +188,30 @@ def heavy_tail_bound(corpus: Corpus, tol: float = TOL_GEOM) -> list[BoundRecord]
     ratio after step n is (second largest - second smallest) over
     (largest - smallest), and it never exceeds the ratio of the previous
     running maximum to the current one. Each step is checked against that
-    bound (raising BoundViolation on failure, which for positive data would
-    indicate a kernel defect) and the per-step pairs are returned.
+    bound (raising BoundViolation at the first failure, which for positive
+    data would indicate a kernel defect) and the per-step pairs are returned.
     """
     if corpus.dim != 1:
         raise DimensionNotOne("the successive-maxima bound needs a one-dimensional corpus")
-    # one pass over the values, keeping the two largest and two smallest
-    # so far: the same order statistics a sort of each prefix would give
-    hi1 = hi2 = -math.inf
-    lo1 = lo2 = math.inf
-    records = []
-    for n, x in enumerate(corpus.to_array()[:, 0].tolist(), 1):
-        prev_max = hi1
-        if x > hi1:
-            hi1, hi2 = x, hi1
-        elif x > hi2:
-            hi2 = x
-        if x < lo1:
-            lo1, lo2 = x, lo1
-        elif x < lo2:
-            lo2 = x
-        if n < 2:
-            continue
-        bound = prev_max / hi1 if hi1 != 0 else float("inf")
-        vol_g = hi1 - lo1
-        vol_p = max(0.0, hi2 - lo2)
-        ratio = vol_p / vol_g if vol_g > 0 else 0.0
-        if ratio > bound + tol:
-            raise BoundViolation(
-                f"ratio {ratio} exceeds successive-maxima bound {bound} at step {n}"
-            )
-        records.append(BoundRecord(n, bound, ratio))
-    return records
+    x = corpus.to_array()[:, 0]
+    # running order statistics: a value displaces the second largest only
+    # up to the largest before it, so hi2 is a running max of min(x, prev hi1)
+    hi1 = np.maximum.accumulate(x)
+    lo1 = np.minimum.accumulate(x)
+    hi2 = np.maximum.accumulate(np.minimum(x[1:], hi1[:-1]))
+    lo2 = np.minimum.accumulate(np.maximum(x[1:], lo1[:-1]))
+    prev_max, hi1, lo1 = hi1[:-1], hi1[1:], lo1[1:]
+    bound = np.divide(prev_max, hi1, out=np.full(len(hi1), np.inf), where=hi1 != 0)
+    vol_g = hi1 - lo1
+    vol_p = np.maximum(hi2 - lo2, 0.0)
+    ratio = np.divide(vol_p, vol_g, out=np.zeros(len(vol_g)), where=vol_g > 0)
+    bad = np.flatnonzero(ratio > bound + tol)
+    if len(bad):
+        i = int(bad[0])
+        raise BoundViolation(
+            f"ratio {float(ratio[i])} exceeds successive-maxima bound {float(bound[i])} at step {i + 2}"
+        )
+    return list(map(BoundRecord._make, zip(range(2, len(x) + 1), bound.tolist(), ratio.tolist())))
 
 
 @dataclass(frozen=True)

@@ -531,6 +531,10 @@ def _chebyshev_center(A: np.ndarray, b: np.ndarray, dim: int):
     A_ub = np.hstack([A, np.ones((len(A), 1))])
     bounds = [(None, None)] * dim + [(0.0, None)]
     res = linprog(c, A_ub=A_ub, b_ub=b, bounds=bounds, method="highs")
+    if res.status == 4:
+        # HiGHS's default solver can stop with an unknown model status on
+        # near-flat sets, which its interior-point solver settles
+        res = linprog(c, A_ub=A_ub, b_ub=b, bounds=bounds, method="highs-ipm")
     if res.status == 2:
         return None
     if not res.success:

@@ -117,9 +117,13 @@ def _vertex_rows(arr: np.ndarray, hull: Polytope) -> list[int]:
 
 
 def conv_permissible_polytope(corpus: Corpus, full: Polytope | None = None) -> Polytope:
-    """Intersection of leave-one-out hulls, touching only extreme points."""
-    if len(corpus) <= 1:
-        return Polytope.empty(corpus.dim)
+    """Intersection of leave-one-out hulls, touching only extreme points.
+
+    On the line conv and box are the same closure operator, so in d = 1 the
+    set is box's [x(2), x(n-1)], with no hull built.
+    """
+    if len(corpus) <= 1 or corpus.dim == 1:
+        return box_permissible_polytope(corpus)
     if full is None:
         full = convex_hull(corpus)
     return halfspace_intersection(list(_conv_loo_hulls(corpus.to_array(), full).values()))

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -148,6 +149,35 @@ def _heavy_tail_bound_by_sorting(values: np.ndarray, tol: float = TOL_GEOM) -> l
     return records
 
 
+def _heavy_tail_bound_one_pass(values: np.ndarray, tol: float = TOL_GEOM) -> list[BoundRecord]:
+    """Reference: one Python pass keeping the two largest and two smallest values so far."""
+    hi1 = hi2 = -math.inf
+    lo1 = lo2 = math.inf
+    records = []
+    for n, x in enumerate(values.tolist(), 1):
+        prev_max = hi1
+        if x > hi1:
+            hi1, hi2 = x, hi1
+        elif x > hi2:
+            hi2 = x
+        if x < lo1:
+            lo1, lo2 = x, lo1
+        elif x < lo2:
+            lo2 = x
+        if n < 2:
+            continue
+        bound = prev_max / hi1 if hi1 != 0 else float("inf")
+        vol_g = hi1 - lo1
+        vol_p = max(0.0, hi2 - lo2)
+        ratio = vol_p / vol_g if vol_g > 0 else 0.0
+        if ratio > bound + tol:
+            raise BoundViolation(
+                f"ratio {ratio} exceeds successive-maxima bound {bound} at step {n}"
+            )
+        records.append(BoundRecord(n, bound, ratio))
+    return records
+
+
 def _bound_outcome(fn, arg):
     """Records as exact bit patterns, or the violation message."""
     try:
@@ -161,6 +191,7 @@ def _streams():
         dist = parse_distribution(f"pareto:d=1,alpha={alpha}")
         for seed in range(4):
             yield sample_points(dist, 300, seed=seed)
+        yield sample_points(dist, 2000, seed=11)
     rng = np.random.default_rng(5)
     for _ in range(6):
         yield rng.normal(size=(40, 1))
@@ -177,10 +208,22 @@ def test_heavy_tail_bound_matches_sorting_oracle():
         corpus = Corpus.from_array(pts, dim=1)
         got = _bound_outcome(heavy_tail_bound, corpus)
         assert got == _bound_outcome(_heavy_tail_bound_by_sorting, pts[:, 0])
+        assert got == _bound_outcome(_heavy_tail_bound_one_pass, pts[:, 0])
         outcomes.append(got)
     # both kinds of outcome are exercised: signed streams violate the bound
     assert any(isinstance(o, str) for o in outcomes)
     assert outcomes[-3:] == [[], [], [(2, (1.0 / 2.0).hex(), (0.0).hex())]]
+
+
+def test_heavy_tail_bound_returns_a_list_of_plain_records():
+    records = heavy_tail_bound(corpus_of(sample_points(parse_distribution("pareto:d=1,alpha=1.0"), 50, seed=0)))
+    assert type(records) is list and len(records) == 49
+    for r in records:
+        assert type(r) is BoundRecord
+        assert type(r.n) is int
+        assert type(r.bound) is type(r.ratio) is float
+    assert records[0] == BoundRecord(2, records[0].bound, records[0].ratio)
+    assert BoundRecord._fields == ("n", "bound", "ratio")
 
 
 # -- growth trajectories -----------------------------------------------------------

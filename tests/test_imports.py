@@ -15,13 +15,16 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs the given permgen command, then records its exit code and which scipy
-# modules the process holds.
+# Runs the given permgen command (or, after "-c", a Python statement), then
+# records its exit code and which scipy modules the process holds.
 SCRIPT = """
 import json, sys
 import permgen, permgen.cli
 out, argv = sys.argv[1], sys.argv[2:]
-rc = permgen.cli.main(argv) if argv else None
+if argv[:1] == ["-c"]:
+    rc = exec(argv[1]) or 0
+else:
+    rc = permgen.cli.main(argv) if argv else None
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 with open(out, "w") as fh:
     json.dump({"rc": rc, "scipy": loaded}, fh)
@@ -55,8 +58,9 @@ def test_import_loads_no_scipy(tmp_path):
         ["simulate", "pareto:d=1,alpha=0.3", "box", "--nmax", "200", "--seeds", "2", "--out", "out"],
         ["analyze", "corpus.csv", "--generator", "conv", "--query", "1.0", "--add", "5.0"],
         ["analyze", "corpus.csv", "--generator", "box", "--query", "1.0", "--add", "5.0"],
+        ["-c", "permgen.heavy_tail_bound(permgen.sample_corpus(permgen.parse_distribution('pareto:d=1,alpha=0.3'), 2000, 1))"],
     ],
-    ids=["simulate-conv", "simulate-box", "analyze-conv", "analyze-box"],
+    ids=["simulate-conv", "simulate-box", "analyze-conv", "analyze-box", "heavy-tail-bound"],
 )
 def test_one_dimensional_commands_load_no_scipy(tmp_path, argv):
     (tmp_path / "corpus.csv").write_text("x\n0.1\n0.5\n2.0\n3.5\n-1.0\n")

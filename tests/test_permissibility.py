@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull as ScipyConvexHull
@@ -154,6 +155,50 @@ def test_near_empty_intersection_raises_typed_error():
     corpus = corpus_of([[0.0, 0.0], [0.0, 1.15e-7], [1.0, 0.0]])
     with pytest.raises(DegenerateSystem):
         permissible_set(conv_spec(), corpus)
+
+
+def test_permissible_point_where_the_default_chebyshev_lp_stalls(rng):
+    # a generic five-point corpus whose leave-one-out hulls meet in one point:
+    # HiGHS's default solver stops on its Chebyshev LP with an unknown model
+    # status, and the interior-point retry finds the point (radius 0)
+    pts = np.array(
+        [
+            [-0.09131702851652568, -0.9439227874374472, -0.6799481757989358],
+            [0.27214626137871023, 0.6922512086266499, -0.5451379384218062],
+            [0.06180503648959501, 0.6223580024147006, 0.014764051898667363],
+            [-0.08833859713775594, -0.2093816673204114, 0.6091813443068244],
+            [0.8084111952555308, 0.5842513306852546, 0.8149730264386343],
+        ]
+    )
+    perm = permissible_set(conv_spec(), corpus_of(pts)).permissible
+    assert perm.polytope.affine_dim == 0
+    assert oracle_permissible("conv", pts, perm.polytope.vertex_array[0])
+    centre = perm.polytope.vertex_array[0]
+    probes = np.vstack([rng.uniform(-1, 1, size=(200, 3)), centre + rng.normal(scale=1e-3, size=(100, 3))])
+    for q in probes:
+        if perm.contains(q) != oracle_permissible("conv", pts, q):
+            assert _near_region_boundary(perm, q)
+
+
+def test_chebyshev_lp_retries_with_interior_point_once(monkeypatch):
+    calls = []
+    real = scipy.optimize.linprog
+
+    def stalling(*args, method, **kwargs):
+        # the default solver always stalls; the retry solves the first box, then stalls too
+        calls.append(method)
+        if method == "highs" or len(calls) > 2:
+            return scipy.optimize.OptimizeResult(status=4, success=False, message="stalled")
+        return real(*args, method=method, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", stalling)
+    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    centre, radius = geometry._chebyshev_center(A, np.ones(4), 2)
+    assert calls == ["highs", "highs-ipm"]
+    assert np.allclose(centre, 0.0) and radius == pytest.approx(1.0)
+    with pytest.raises(DegenerateSystem, match="stalled"):
+        geometry._chebyshev_center(A, np.ones(4), 2)
+    assert calls[2:] == ["highs", "highs-ipm"]
 
 
 def _record_qhull(monkeypatch, attr):
@@ -314,6 +359,80 @@ def test_loo_hulls_get_the_other_vertices_and_the_second_layer(monkeypatch, rng)
     # the second layer, one hull per vertex, then the intersection's vertices
     assert sizes[: len(rows) + 1] == [2000 - len(rows)] + [len(rows) - 1 + len(layer2.vertex_array)] * len(rows)
     assert len(sizes) == len(rows) + 2
+
+
+# -- the d = 1 permissible interval ------------------------------------------------
+
+
+def _loo_intersection_by_deletion(arr):
+    # the reference construction: every row's leave-one-out hull, intersected
+    hulls = [Polytope.from_points(np.delete(arr, i, 0), dim=1) for i in range(len(arr))]
+    return halfspace_intersection(hulls) if hulls else Polytope.empty(1)
+
+
+def _bits(poly):
+    return poly.affine_dim, [(a.shape, a.tobytes()) for a in (poly.vertex_array, poly.normals, poly.offsets)]
+
+
+def _line_corpora():
+    cases = {}
+    for alpha, seeds in ((0.3, (0, 1, 3)), (1.0, (0, 1, 2))):
+        dist = parse_distribution(f"pareto:d=1,alpha={alpha}")
+        for seed in seeds:
+            cases[f"pareto {alpha} seed {seed}"] = sample_points(dist, 2000, seed=seed)
+    cases["gauss"] = np.random.default_rng(3).normal(size=(200, 1))
+    for n in (1, 2, 3):
+        cases[f"n = {n}"] = np.array([[2.0], [-1.0], [0.5]])[:n]
+    cases["signed zero inside"] = np.array([[-0.0], [1.0], [-2.0], [3.0]])
+    cases["signed zero at x(2)"] = np.array([[0.0], [1.0], [-2.0], [-3.0]])
+    cases["x(2), x(n-1) within tol"] = np.array([[0.0], [1.0 + 5e-10], [1.0], [5.0]])
+    return cases
+
+
+_LINE = _line_corpora()
+
+
+@pytest.mark.parametrize("name", list(_LINE))
+def test_line_permissible_matches_deletion_hulls_bitwise(name):
+    arr = _LINE[name]
+    if name.startswith("pareto 0.3"):
+        assert arr.max() >= 1e10  # where adjacent doubles are further apart than TOL_GEOM
+    corpus = Corpus.from_array(arr, dim=1)
+    expected = _bits(_loo_intersection_by_deletion(arr))
+    assert _bits(permissibility.conv_permissible_polytope(corpus)) == expected
+    assert _bits(permissible_set(conv_spec(), corpus).permissible.polytope) == expected
+
+
+@pytest.mark.parametrize(
+    "rows", [[1.0, 1.0 + 9e-10], [1.0 + 9e-10, 1.0, 1.0 + 5e-10], [1.0, 1.0 + 5e-10, 4.25]]
+)
+def test_line_permissible_within_tol_is_the_second_smallest_row(rows):
+    # x(n-1) <= x(2) + TOL_GEOM: the set is the point x(2), as box's is. The
+    # deletion hulls collapse each onto its own smallest row and their
+    # intersection here onto x(1), within TOL_GEOM of it (on other rows,
+    # or in another order, the bucketing of their halfspaces picks x(2)).
+    arr = np.array(rows).reshape(-1, 1)
+    x2 = np.sort(arr[:, 0])[1]
+    corpus = Corpus.from_array(arr, dim=1)
+    got = [permissibility.conv_permissible_polytope(corpus), permissible_set(conv_spec(), corpus).permissible.polytope]
+    for perm in got:
+        assert _bits(perm) == _bits(Polytope.box([x2], [x2]))
+        assert _bits(perm) == _bits(permissibility.box_permissible_polytope(corpus))
+    reference = _loo_intersection_by_deletion(arr)
+    assert reference.vertex_array.tolist() == [[arr.min()]]
+    assert reference.equals(perm, TOL_GEOM)
+
+
+def test_line_permissible_builds_no_hull(monkeypatch):
+    corpus = Corpus.from_array(sample_points(parse_distribution("pareto:d=1,alpha=1.0"), 500, seed=0), dim=1)
+    full = convex_hull(corpus)
+    calls = []
+    real = Polytope.from_points
+    monkeypatch.setattr(Polytope, "from_points", lambda points, dim=None: calls.append(len(points)) or real(points, dim=dim))
+    monkeypatch.setattr(permissibility, "halfspace_intersection", lambda polys: calls.append("intersection"))
+    assert not permissibility.conv_permissible_polytope(corpus, full).is_empty
+    assert not permissible_set(conv_spec(), corpus).permissible.is_empty
+    assert calls == [500]  # the generable hull of permissible_set only
 
 
 # -- cross-validation against the definitional oracle ----------------------------
